@@ -29,6 +29,15 @@ double draw(double x, const FeedbackTimerConfig& cfg, Rng& rng);
 /// analytic models integrate over u directly.
 double from_uniform(double u, double x, const FeedbackTimerConfig& cfg);
 
+/// log(cfg.n_estimate), the denominator of every base-timer draw.  Loops
+/// that draw many timers under one config compute it once and pass it to
+/// the overloads below, which give exactly the same values as the ones
+/// above (kModifiedN ignores it: its N depends on x).
+double log_n(const FeedbackTimerConfig& cfg);
+double draw(double x, const FeedbackTimerConfig& cfg, double ln_n, Rng& rng);
+double from_uniform(double u, double x, const FeedbackTimerConfig& cfg,
+                    double ln_n);
+
 /// The closed-form CDF P(timer <= t), t in units of T, for worst-case x = 0
 /// (unbiased) or the given x (biased methods).  Used by fig. 1 and by the
 /// expected-feedback-count model of fig. 4.

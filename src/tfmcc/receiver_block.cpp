@@ -263,6 +263,7 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
   const int n = bcfg_.count;
   const double send_rate = h.send_rate_Bps;
   const int cap = candidate_cap();
+  const double ln_n = feedback_timer::log_n(cfg_.timer);
 
   // Bounded max-heap keyed on due time: only the earliest `cap` timers can
   // possibly report (everything later is suppressed by them or by the full
@@ -292,7 +293,7 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
     const double own = recv_rate_.rate_Bps(now);
     for (int i = 0; i < n; ++i) {
       if (i == clr_idx_) continue;
-      const double t = feedback_timer::draw(x, cfg_.timer, rng_);
+      const double t = feedback_timer::draw(x, cfg_.timer, ln_n, rng_);
       consider({now + h.fb_deadline * t, i, own});
     }
   } else {
@@ -310,7 +311,7 @@ void ModeledReceiverBlock::on_new_round(const TfmccDataHeader& h,
       if (!(calc < send_rate)) continue;  // ineligible (also filters +inf)
       const double x =
           send_rate > 0.0 ? std::clamp(calc / send_rate, 0.0, 1.0) : 1.0;
-      const double t = feedback_timer::draw(x, cfg_.timer, rng_);
+      const double t = feedback_timer::draw(x, cfg_.timer, ln_n, rng_);
       consider({now + h.fb_deadline * t, i, calc});
     }
   }

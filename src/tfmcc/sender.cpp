@@ -43,29 +43,45 @@ void TfmccSender::stop() {
   sim_.cancel(send_timer_);
 }
 
-int TfmccSender::known_receivers_with_rtt() const {
-  int n = 0;
-  for (const auto& [id, info] : receivers_) {
-    if (info.has_rtt) ++n;
-  }
-  return n;
-}
-
 SimTime TfmccSender::max_rtt_estimate() const {
   // Receivers that have not yet measured their RTT operate with the initial
   // value, so the suppression window must span it (footnote 7 explains the
   // resulting multi-second feedback delay early in a session).
   SimTime mx = SimTime::zero();
-  bool all_measured = !receivers_.empty();
-  for (const auto& [id, info] : receivers_) {
-    if (info.has_rtt) {
-      mx = std::max(mx, info.rtt);
-    } else {
-      all_measured = false;
-    }
-  }
-  if (!all_measured) mx = std::max(mx, cfg_.initial_rtt);
+  if (!measured_rtts_.empty()) mx = std::max(mx, *measured_rtts_.rbegin());
+  if (receivers_.empty() || unmeasured_ > 0) mx = std::max(mx, cfg_.initial_rtt);
   return mx;
+}
+
+void TfmccSender::forget_rtt(const ReceiverInfo& info) {
+  if (info.has_rtt) {
+    measured_rtts_.erase(measured_rtts_.find(info.rtt));
+  } else {
+    --unmeasured_;
+  }
+}
+
+void TfmccSender::note_rtt(const ReceiverInfo& info) {
+  if (info.has_rtt) {
+    measured_rtts_.insert(info.rtt);
+  } else {
+    ++unmeasured_;
+  }
+}
+
+void TfmccSender::update_rtt(ReceiverInfo& info, bool has_rtt, SimTime rtt) {
+  const bool moved = has_rtt != info.has_rtt || (has_rtt && rtt != info.rtt);
+  if (moved) forget_rtt(info);
+  info.has_rtt = has_rtt;
+  info.rtt = rtt;
+  if (moved) note_rtt(info);
+}
+
+void TfmccSender::erase_receiver(std::int32_t id) {
+  auto it = receivers_.find(id);
+  if (it == receivers_.end()) return;
+  forget_rtt(it->second);
+  receivers_.erase(it);
 }
 
 void TfmccSender::start_round() {
@@ -213,7 +229,7 @@ void TfmccSender::set_clr(std::int32_t id, double rate, bool ramp) {
 }
 
 void TfmccSender::clr_lost() {
-  receivers_.erase(clr_);
+  erase_receiver(clr_);
   clr_ = kInvalidReceiver;
   // Select the lowest-rate receiver we know of; ramp to its rate gradually
   // (one packet per RTT) since the loss estimate at the new, higher rate is
@@ -289,7 +305,7 @@ void TfmccSender::on_feedback(const TfmccFeedbackHeader& f) {
   round_had_feedback_ = true;
 
   if (f.leaving) {
-    receivers_.erase(f.receiver);
+    erase_receiver(f.receiver);
     echo_queue_.erase(
         std::remove_if(echo_queue_.begin(), echo_queue_.end(),
                        [&](const PendingEcho& e) { return e.receiver == f.receiver; }),
@@ -315,7 +331,9 @@ void TfmccSender::on_feedback(const TfmccFeedbackHeader& f) {
                                         f.loss_event_rate);
   }
 
-  auto& info = receivers_[f.receiver];
+  auto [slot, inserted] = receivers_.try_emplace(f.receiver);
+  auto& info = slot->second;
+  if (inserted) note_rtt(info);  // a fresh entry has no RTT yet
   const bool causes_clr_switch =
       !slowstart_ && eff >= 0.0 &&
       (clr_ == kInvalidReceiver || (f.receiver != clr_ && eff < rate_)) &&
@@ -323,10 +341,10 @@ void TfmccSender::on_feedback(const TfmccFeedbackHeader& f) {
   info.rate_Bps = eff;
   info.recv_rate_Bps = f.recv_rate_Bps;
   info.loss_event_rate = f.loss_event_rate;
-  info.has_rtt = f.has_rtt;
-  info.rtt = f.has_rtt ? f.rtt
-                       : (sender_rtt > SimTime::zero() ? sender_rtt
-                                                       : cfg_.initial_rtt);
+  update_rtt(info, f.has_rtt,
+             f.has_rtt ? f.rtt
+             : sender_rtt > SimTime::zero() ? sender_rtt
+                                            : cfg_.initial_rtt);
   info.has_loss = f.has_loss;
   info.last_fb = now;
   info.last_fb_ts = f.ts;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "mcast/session.hpp"
@@ -42,7 +43,9 @@ class TfmccSender final : public Agent {
   std::int64_t data_sent() const { return data_sent_; }
   std::int64_t feedback_received() const { return feedback_received_; }
   int known_receivers() const { return static_cast<int>(receivers_.size()); }
-  int known_receivers_with_rtt() const;
+  int known_receivers_with_rtt() const {
+    return known_receivers() - unmeasured_;
+  }
   /// Highest rate reached before slowstart terminated (fig. 14).
   double peak_slowstart_rate_Bps() const { return peak_ss_rate_; }
   SimTime slowstart_exit_time() const { return ss_exit_time_; }
@@ -77,6 +80,11 @@ class TfmccSender final : public Agent {
   void start_round();
   void set_clr(std::int32_t id, double rate, bool ramp);
   void clr_lost();
+  void erase_receiver(std::int32_t id);
+  /// Remove / add one entry's contribution to the max-RTT aggregates.
+  void forget_rtt(const ReceiverInfo& info);
+  void note_rtt(const ReceiverInfo& info);
+  void update_rtt(ReceiverInfo& info, bool has_rtt, SimTime rtt);
   void apply_clr_report(const ReceiverInfo& info, double eff,
                         std::int32_t from);
   SimTime max_rtt_estimate() const;
@@ -129,6 +137,11 @@ class TfmccSender final : public Agent {
   EventId send_timer_{};
 
   std::map<std::int32_t, ReceiverInfo> receivers_;
+  // Exact aggregates over receivers_ for max_rtt_estimate(), updated on
+  // every insert, update and erase: the measured RTTs (entries with
+  // has_rtt) and the number of entries still without one.
+  std::multiset<SimTime> measured_rtts_;
+  int unmeasured_{0};
   std::vector<PendingEcho> echo_queue_;
   static constexpr std::size_t kMaxEchoQueue = 64;
 

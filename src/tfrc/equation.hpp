@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/sim_time.hpp"
@@ -24,6 +25,11 @@ namespace tcp_model {
 /// loss event rate in (0, 1]; p <= 0 returns +inf.
 double throughput_Bps(double packet_bytes, SimTime rtt, double p,
                       double b = 1.0);
+
+/// Batched `throughput_Bps` with b = 1:
+/// out_Bps[i] = throughput_Bps(packet_bytes, rtts[i], ps[i]), bit for bit.
+void throughput_batch_Bps(double packet_bytes, const SimTime* rtts,
+                          const double* ps, double* out_Bps, std::size_t n);
 
 /// Loss event rate p that yields `rate_Bps` in the full model (inverse of
 /// `throughput_Bps`, solved by bisection).  Clamped to [kMinLossRate, 1].

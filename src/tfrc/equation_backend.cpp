@@ -9,14 +9,6 @@
 
 namespace tfmcc {
 
-void EquationBackend::throughput_batch(double packet_bytes,
-                                       const SimTime* rtts, const double* ps,
-                                       double* out_Bps, std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    out_Bps[i] = throughput_Bps(packet_bytes, rtts[i], ps[i]);
-  }
-}
-
 namespace {
 
 class FloatEquationBackend final : public EquationBackend {
@@ -31,6 +23,12 @@ class FloatEquationBackend final : public EquationBackend {
   double loss_for_throughput(double packet_bytes, SimTime rtt,
                              double rate_Bps) const override {
     return tcp_model::loss_for_throughput(packet_bytes, rtt, rate_Bps);
+  }
+
+  void throughput_batch(double packet_bytes, const SimTime* rtts,
+                        const double* ps, double* out_Bps,
+                        std::size_t n) const override {
+    tcp_model::throughput_batch_Bps(packet_bytes, rtts, ps, out_Bps, n);
   }
 };
 

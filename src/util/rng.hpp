@@ -1,9 +1,66 @@
 #pragma once
 
+#include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
 namespace tfmcc {
+
+/// MT19937-64 (Matsumoto & Nishimura): the same seeding and the same output
+/// stream as `std::mt19937_64`, so every golden output drawn through it is
+/// unchanged.  The state refill is branchless: the twist's conditional xor
+/// of the matrix constant is `(0 - (y & 1)) & a`, where the conventional
+/// `(y & 1) ? a : 0` is a data-dependent branch that mispredicts about half
+/// the time.  Satisfies UniformRandomBitGenerator, so the `std::*_distribution`
+/// templates still draw from it.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed) {
+    x_[0] = seed;
+    for (std::size_t i = 1; i < kN; ++i) {
+      x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+    }
+  }
+
+  result_type operator()() {
+    if (next_ >= kN) refill();
+    result_type z = x_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+  static constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+  static constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+  static constexpr std::uint64_t kLower = ~kUpper;
+
+  static std::uint64_t twist(std::uint64_t hi, std::uint64_t lo,
+                             std::uint64_t far) {
+    const std::uint64_t y = (hi & kUpper) | (lo & kLower);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+  }
+
+  void refill() {
+    std::size_t k = 0;
+    for (; k < kN - kM; ++k) x_[k] = twist(x_[k], x_[k + 1], x_[k + kM]);
+    for (; k < kN - 1; ++k) x_[k] = twist(x_[k], x_[k + 1], x_[k + kM - kN]);
+    x_[kN - 1] = twist(x_[kN - 1], x_[0], x_[kM - 1]);
+    next_ = 0;
+  }
+
+  std::array<std::uint64_t, kN> x_;
+  std::size_t next_{kN};
+};
 
 /// Deterministic random-number stream.
 ///
@@ -13,6 +70,12 @@ namespace tfmcc {
 /// randomness consumed by one component independent of how often another
 /// component draws, so adding a flow to a scenario does not perturb the
 /// loss pattern seen by existing flows.
+///
+/// The engine and the common draws (`uniform01`, `uniform`, `bernoulli`,
+/// `exponential`) are written out here with libstdc++'s exact formulas, so
+/// they give the same values on any standard library.  `uniform_int`,
+/// `geometric_trials` and `normal` still use the implementation-defined
+/// `std::*_distribution` algorithms.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : gen_{mix(seed)}, seed_{seed} {}
@@ -25,13 +88,9 @@ class Rng {
   std::uint64_t next_u64() { return gen_(); }
 
   /// Uniform in (0, 1] — never returns 0, safe as a log() argument.
-  double uniform01() {
-    return 1.0 - std::uniform_real_distribution<double>{0.0, 1.0}(gen_);
-  }
+  double uniform01() { return 1.0 - canonical(); }
 
-  double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>{lo, hi}(gen_);
-  }
+  double uniform(double lo, double hi) { return canonical() * (hi - lo) + lo; }
 
   /// Uniform integer in [lo, hi], inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -41,12 +100,13 @@ class Rng {
   bool bernoulli(double p) {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
-    return std::bernoulli_distribution{p}(gen_);
+    return canonical() < p;
   }
 
-  /// Exponential with the given mean.
+  /// Exponential with the given mean (inverse CDF with rate 1 / mean).
   double exponential(double mean) {
-    return std::exponential_distribution<double>{1.0 / mean}(gen_);
+    const double lambda = 1.0 / mean;
+    return -std::log(1.0 - canonical()) / lambda;
   }
 
   /// Geometric number of trials until first success (>= 1), success prob p.
@@ -60,6 +120,14 @@ class Rng {
   }
 
  private:
+  /// Uniform in [0, 1) from one 64-bit draw, as libstdc++'s
+  /// `generate_canonical<double, 53>`: x / 2^64, which rounds to 1.0 for the
+  /// top ~2^10 values of x and is then clamped to the largest double below 1.
+  double canonical() {
+    const double c = static_cast<double>(gen_()) * 0x1p-64;
+    return c < 1.0 ? c : 0x1.fffffffffffffp-1;  // nextafter(1.0, 0.0)
+  }
+
   /// splitmix64 finalizer: decorrelates nearby seeds.
   static std::uint64_t mix(std::uint64_t x) {
     x += 0x9e3779b97f4a7c15ULL;
@@ -68,7 +136,7 @@ class Rng {
     return x ^ (x >> 31);
   }
 
-  std::mt19937_64 gen_;
+  Mt19937_64 gen_;
   std::uint64_t seed_;
 };
 

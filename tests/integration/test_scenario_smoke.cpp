@@ -6,13 +6,26 @@
 // registry, and tests/CMakeLists.txt emits a matching `smoke`-labelled
 // ctest entry per scenario so the matrix parallelises.
 //
+// Each scenario's captured stdout must also hash to the digest committed in
+// tests/golden/smoke_digests.txt, which turns "every refactor keeps the
+// outputs byte-identical" into a check.  The digests were recorded with
+// libstdc++ (some draws still use implementation-defined std::
+// distributions).  `test_scenario_smoke --write-digests <path>` rewrites the
+// file from the current build; tools/regolden wraps it, and every use of it
+// must be declared in CHANGES.md.
+//
 // The ScenarioHarness suite adds cross-cutting checks: the time-warp
 // acceptance (a 20 s run of fig11 still fires every scripted join/leave)
 // and determinism of parameterized runs at the whole-scenario level.
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -43,6 +56,47 @@ ScenarioOptions smoke_options(const Scenario& s) {
   return opts;
 }
 
+/// The smoke options as `tfmcc_sim` arguments, e.g.
+/// "--duration 10 --set n_receivers=8".
+std::string smoke_args(const ScenarioOptions& opts) {
+  std::ostringstream os;
+  os << "--duration " << opts.duration->to_seconds();
+  for (const auto& [key, value] : opts.params()) {
+    os << " --set " << key << '=' << value;
+  }
+  return os.str();
+}
+
+/// 64-bit FNV-1a: a dependency-free digest of a scenario's output.
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// One golden line: "<scenario> <16 hex digits> <tfmcc_sim args...>".
+std::string digest_line(const std::string& name, const std::string& out,
+                        const ScenarioOptions& opts) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016" PRIx64, fnv1a64(out));
+  return name + ' ' + hex + ' ' + smoke_args(opts);
+}
+
+/// Committed golden lines keyed by scenario name ('#' lines are comments).
+std::map<std::string, std::string> load_golden_digests() {
+  std::map<std::string, std::string> lines;
+  std::ifstream in{TFMCC_SMOKE_DIGESTS};
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    lines[line.substr(0, line.find(' '))] = line;
+  }
+  return lines;
+}
+
 /// Runs a scenario via the registry with stdout captured; returns
 /// (exit code, captured stdout).  Diagnostics go to `err`.
 std::pair<int, std::string> run_captured(std::string_view name,
@@ -70,6 +124,29 @@ bool has_csv_data(const std::string& out) {
   return false;
 }
 
+/// `--write-digests <path>`: runs every scenario under its smoke options
+/// and writes the golden digest file.
+int write_digests(const char* path) {
+  std::ofstream file{path};
+  file << "# FNV-1a 64-bit digests of each scenario's stdout under the smoke\n"
+          "# options of tests/integration/test_scenario_smoke.cpp (libstdc++).\n"
+          "# <scenario> <digest> <tfmcc_sim args>.  Regenerate with\n"
+          "# tools/regolden and declare every regeneration in CHANGES.md.\n";
+  for (const auto& name : ScenarioRegistry::instance().names()) {
+    const ScenarioOptions opts =
+        smoke_options(*ScenarioRegistry::instance().find(name));
+    std::ostringstream err;
+    const auto [rc, out] = run_captured(name, opts, err);
+    if (rc != 0) {
+      std::fprintf(stderr, "error: %s failed: %s\n", name.c_str(),
+                   err.str().c_str());
+      return 1;
+    }
+    file << digest_line(name, out, opts) << '\n';
+  }
+  return file.good() ? 0 : 1;
+}
+
 class ScenarioSmokeCase : public testing::Test {
  public:
   explicit ScenarioSmokeCase(std::string name) : name_{std::move(name)} {}
@@ -83,6 +160,13 @@ class ScenarioSmokeCase : public testing::Test {
     EXPECT_TRUE(has_csv_data(out))
         << "no CSV trace in scenario output:\n"
         << out.substr(0, 2000);
+    const auto golden = load_golden_digests();
+    const auto it = golden.find(name_);
+    ASSERT_NE(it, golden.end())
+        << "no golden digest for " << name_ << " in " << TFMCC_SMOKE_DIGESTS;
+    EXPECT_EQ(digest_line(name_, out, smoke_options(*s)), it->second)
+        << "scenario output changed; if intended, rerun tools/regolden and "
+           "declare it in CHANGES.md";
   }
 
  private:
@@ -90,8 +174,18 @@ class ScenarioSmokeCase : public testing::Test {
 };
 
 TEST(ScenarioHarness, RegistryIsPopulated) {
-  // The full paper matrix: 21 figures + 2 ablations + 1 comparison.
+  // At least the paper's figures, ablations and comparison; the golden
+  // digest file pins the exact set.
   EXPECT_GE(ScenarioRegistry::instance().size(), 24u);
+}
+
+TEST(ScenarioHarness, GoldenDigestsNameRegisteredScenarios) {
+  // Every registered scenario has a digest and no digest is stale.
+  std::vector<std::string> golden;
+  for (const auto& [name, line] : load_golden_digests()) {
+    golden.push_back(name);
+  }
+  EXPECT_EQ(golden, ScenarioRegistry::instance().names());
 }
 
 TEST(ScenarioHarness, Fig11WarpFiresAllScriptedEvents) {
@@ -241,6 +335,9 @@ TEST(ScenarioHarness, UnknownOverrideKeyIsRejected) {
 
 int main(int argc, char** argv) {
   testing::InitGoogleTest(&argc, argv);
+  if (argc == 3 && std::strcmp(argv[1], "--write-digests") == 0) {
+    return tfmcc::write_digests(argv[2]);
+  }
   for (const auto& name : tfmcc::ScenarioRegistry::instance().names()) {
     testing::RegisterTest(
         "ScenarioSmoke", name.c_str(), nullptr, nullptr, __FILE__, __LINE__,

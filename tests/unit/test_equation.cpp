@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#include "tfrc/equation_backend.hpp"
 
 namespace tfmcc {
 namespace {
@@ -110,6 +113,41 @@ TEST(Equation, DelayedAckModelIsSlower) {
   const double x2 = tm::throughput_Bps(1000, 100_ms, 0.01, 2.0);
   EXPECT_GT(x1 / x2, 1.2);
   EXPECT_LT(x1 / x2, 1.5);
+}
+
+TEST(Equation, BatchMatchesScalarExactly) {
+  // Runs of one shared p (the receiver-block case) interleaved with p
+  // changes, p <= 0, p > 1 and extreme RTTs: the batch reuses its loss terms
+  // only while p repeats, and must equal the scalar call bit for bit.
+  const std::vector<double> p_values{0.01, 0.01, 0.01, 0.0,   0.01, -1.0,
+                                     0.02, 0.02, 0.01, 1.0,   1.5,  2.0,
+                                     2.0,  1e-8, 1e-12, 0.3,  0.3,  -0.0,
+                                     0.3,  0.999999, 1e-3, 1e-3};
+  const std::vector<SimTime> rtt_values{
+      SimTime::zero(),       SimTime::nanos(1),       SimTime::micros(3),
+      1_ms,                  SimTime::millis(37),     100_ms,
+      SimTime::millis(499),  SimTime::seconds(7.5),   SimTime::seconds(1e6)};
+  std::vector<double> ps;
+  std::vector<SimTime> rtts;
+  for (std::size_t i = 0; i < 5 * p_values.size(); ++i) {
+    ps.push_back(p_values[i % p_values.size()]);
+    rtts.push_back(rtt_values[(3 * i) % rtt_values.size()]);
+  }
+  std::vector<double> out(ps.size());
+  tm::throughput_batch_Bps(1000.0, rtts.data(), ps.data(), out.data(),
+                           ps.size());
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    EXPECT_EQ(out[i], tm::throughput_Bps(1000.0, rtts[i], ps[i]))
+        << "i=" << i << " p=" << ps[i];
+  }
+  const EquationBackend& f = float_equation_backend();
+  std::vector<double> via_backend(ps.size());
+  f.throughput_batch(1460.0, rtts.data(), ps.data(), via_backend.data(),
+                     ps.size());
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    EXPECT_EQ(via_backend[i], f.throughput_Bps(1460.0, rtts[i], ps[i]))
+        << "i=" << i << " p=" << ps[i];
+  }
 }
 
 }  // namespace

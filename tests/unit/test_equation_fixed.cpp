@@ -177,7 +177,7 @@ TEST(EquationBackendSeam, BatchAgreesWithScalarInterface) {
   for (std::size_t i = 0; i < rtts.size(); ++i) {
     EXPECT_EQ(out[i], b.throughput_Bps(1000.0, rtts[i], ps[i])) << "i=" << i;
   }
-  // The float backend inherits the base class's scalar loop.
+  // The float backend hoists the loss terms and matches its scalar call.
   const EquationBackend& f = float_equation_backend();
   f.throughput_batch(1000.0, rtts.data(), ps.data(), out.data(),
                      rtts.size());

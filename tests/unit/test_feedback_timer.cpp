@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 namespace tfmcc {
@@ -124,6 +125,65 @@ TEST(FeedbackTimer, BiasOrderingHolds) {
   const auto cfg = make_cfg(BiasMethod::kModifiedOffset);
   for (double u : {0.01, 0.2, 0.5, 0.9, 1.0}) {
     EXPECT_LE(ft::from_uniform(u, 0.2, cfg), ft::from_uniform(u, 0.8, cfg));
+  }
+}
+
+/// The timer transform as written before log(N) was hoisted out of the
+/// per-draw path: the reference the hoisted form must match bit for bit.
+double reference_timer(double u, double x, const FeedbackTimerConfig& cfg) {
+  auto base = [u](double n) {
+    return std::max(0.0, 1.0 + std::log(u) / std::log(n));
+  };
+  switch (cfg.method) {
+    case BiasMethod::kUnbiased:
+      return base(cfg.n_estimate);
+    case BiasMethod::kOffset:
+      return cfg.zeta * std::clamp(x, 0.0, 1.0) +
+             (1.0 - cfg.zeta) * base(cfg.n_estimate);
+    case BiasMethod::kModifiedOffset:
+      return cfg.zeta * ft::truncate_ratio(x) +
+             (1.0 - cfg.zeta) * base(cfg.n_estimate);
+    case BiasMethod::kModifiedN:
+      return base(std::max(2.0, cfg.n_estimate * std::clamp(x, 0.0, 1.0)));
+  }
+  return base(cfg.n_estimate);
+}
+
+TEST(FeedbackTimer, HoistedLogNMatchesReferenceExactly) {
+  for (const auto method : {BiasMethod::kUnbiased, BiasMethod::kOffset,
+                            BiasMethod::kModifiedOffset,
+                            BiasMethod::kModifiedN}) {
+    for (const double n : {2.0, 37.0, 10000.0, 1e6}) {
+      const auto cfg = make_cfg(method, n);
+      const double ln_n = ft::log_n(cfg);
+      for (const double u : {1e-300, 1e-9, 1e-4, 0.01, 0.1, 0.3, 0.5,
+                             0.7311, 0.9, 0.999999, 1.0}) {
+        for (const double x : {-0.5, 0.0, 1e-6, 0.25, 0.5, 0.55, 0.7, 0.9,
+                               0.95, 1.0, 1.5}) {
+          const double want = reference_timer(u, x, cfg);
+          EXPECT_EQ(ft::from_uniform(u, x, cfg, ln_n), want)
+              << "method " << static_cast<int>(method) << " n " << n
+              << " u " << u << " x " << x;
+          EXPECT_EQ(ft::from_uniform(u, x, cfg), want);
+        }
+      }
+    }
+  }
+}
+
+TEST(FeedbackTimer, HoistedDrawMatchesReferenceExactly) {
+  for (const auto method : {BiasMethod::kUnbiased, BiasMethod::kOffset,
+                            BiasMethod::kModifiedOffset,
+                            BiasMethod::kModifiedN}) {
+    const auto cfg = make_cfg(method);
+    const double ln_n = ft::log_n(cfg);
+    Rng hoisted{17}, plain{17}, reference{17};
+    for (int i = 0; i < 1000; ++i) {
+      const double x = (i % 23) / 22.0;
+      const double want = reference_timer(reference.uniform01(), x, cfg);
+      ASSERT_EQ(ft::draw(x, cfg, ln_n, hoisted), want) << i;
+      ASSERT_EQ(ft::draw(x, cfg, plain), want) << i;
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 namespace tfmcc {
@@ -102,6 +104,82 @@ TEST(Rng, GeometricTrialsMean) {
   for (int i = 0; i < n; ++i) sum += static_cast<double>(r.geometric_trials(0.1));
   EXPECT_NEAR(sum / n, 10.0, 0.3);  // mean trials = 1/p
 }
+
+TEST(Mt19937_64, ReproducesStdEngineAcrossRefills) {
+  // std::mt19937_64 is the oracle: same seeding, same stream, over more
+  // than three refills of the 312-word state.
+  for (const std::uint64_t seed :
+       {0ULL, 1ULL, 5489ULL, 0x9e3779b97f4a7c15ULL, ~0ULL}) {
+    Mt19937_64 ours{seed};
+    std::mt19937_64 oracle{seed};
+    for (int i = 0; i < 4 * 312 + 17; ++i) {
+      ASSERT_EQ(ours(), oracle()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, DrivesStdDistributions) {
+  // A UniformRandomBitGenerator: the std:: distributions that Rng still
+  // uses draw the same values from it as from std::mt19937_64.
+  Mt19937_64 ours{77};
+  std::mt19937_64 oracle{77};
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(std::uniform_int_distribution<std::int64_t>(-5, 1000)(ours),
+              std::uniform_int_distribution<std::int64_t>(-5, 1000)(oracle));
+    ASSERT_EQ(std::normal_distribution<double>(1.0, 2.0)(ours),
+              std::normal_distribution<double>(1.0, 2.0)(oracle));
+    ASSERT_EQ(std::geometric_distribution<std::int64_t>(0.1)(ours),
+              std::geometric_distribution<std::int64_t>(0.1)(oracle));
+  }
+}
+
+TEST(Rng, CommonDrawsArePinned) {
+  // The explicit uniform01 / uniform / bernoulli / exponential formulas give
+  // these values on any standard library (recorded before they replaced
+  // the std:: distributions, which produced the same values on libstdc++).
+  Rng r{2001};
+  EXPECT_EQ(r.uniform01(), 0x1.725777e966c53p-1);
+  EXPECT_EQ(r.uniform01(), 0x1.ecb0ef363e674p-3);
+  EXPECT_EQ(r.uniform01(), 0x1.06b546c2ed924p-1);
+  EXPECT_EQ(r.uniform(-2.0, 3.0), -0x1.5dab4951b0453p+0);
+  EXPECT_EQ(r.uniform(-2.0, 3.0), -0x1.b5a93eab2cfa8p+0);
+  EXPECT_EQ(r.uniform(-2.0, 3.0), -0x1.0dfb2756c0e1bp+0);
+  const bool coins[] = {false, true, false, true, false, false, true, true};
+  for (const bool coin : coins) EXPECT_EQ(r.bernoulli(0.5), coin);
+  EXPECT_EQ(r.exponential(0.25), 0x1.43629638b3e72p-3);
+  EXPECT_EQ(r.exponential(0.25), 0x1.100801b9e43d6p-2);
+  EXPECT_EQ(r.exponential(0.25), 0x1.648659751265p-3);
+}
+
+#if defined(__GLIBCXX__)
+/// Replays an Rng's raw 64-bit stream into the std:: distributions.
+struct Replay {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return rng.next_u64(); }
+  Rng& rng;
+};
+
+TEST(Rng, CommonDrawsMatchLibstdcxxDistributions) {
+  // On libstdc++ the explicit formulas equal the std:: distributions they
+  // replaced, fed the same raw 64-bit stream.
+  for (const std::uint64_t seed : {3ULL, 4ULL, 2001ULL}) {
+    Rng ours{seed};
+    Rng raw{seed};
+    Replay replay{raw};
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(ours.uniform01(),
+                1.0 - std::uniform_real_distribution<double>(0.0, 1.0)(replay));
+      ASSERT_EQ(ours.uniform(-3.5, 7.25),
+                std::uniform_real_distribution<double>(-3.5, 7.25)(replay));
+      ASSERT_EQ(ours.bernoulli(0.3), std::bernoulli_distribution{0.3}(replay));
+      ASSERT_EQ(ours.exponential(5.0),
+                std::exponential_distribution<double>{1.0 / 5.0}(replay));
+    }
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace tfmcc

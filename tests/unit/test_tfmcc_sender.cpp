@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 
 #include "mcast/session.hpp"
@@ -216,6 +218,82 @@ TEST(TfmccSenderUnit, KnownReceiverBookkeeping) {
   f.inject(no_rtt);
   EXPECT_EQ(f.sender->known_receivers_with_rtt(), 2);
   EXPECT_EQ(f.sender->known_receivers(), 3);
+}
+
+/// The max-RTT aggregate behind the round duration, checked against a
+/// brute-force scan of a mirror of the sender's receiver table.  Random
+/// reports (with and without an RTT), leaves and CLR silence timeouts
+/// churn the table; after every step the next round's duration must be
+/// exactly t_mult times the scanned maximum.  Reported rates stay high, so
+/// the low-rate guard never binds.
+TEST(TfmccSenderUnit, RoundDurationTracksBruteForceMaxRtt) {
+  struct Entry {
+    bool has_rtt;
+    SimTime rtt;
+  };
+  const TfmccConfig cfg;
+  SenderFixture f;
+  std::map<std::int32_t, Entry> mirror;
+  auto scan_max_rtt = [&] {
+    SimTime mx = SimTime::zero();
+    bool all_measured = !mirror.empty();
+    for (const auto& [id, e] : mirror) {
+      if (e.has_rtt) {
+        mx = std::max(mx, e.rtt);
+      } else {
+        all_measured = false;
+      }
+    }
+    if (!all_measured) mx = std::max(mx, cfg.initial_rtt);
+    return mx;
+  };
+  auto report = [&](std::int32_t id, double kbps, bool has_rtt, SimTime rtt) {
+    TfmccFeedbackHeader r = SenderFixture::report(id, kbps);
+    r.has_rtt = has_rtt;
+    r.rtt = rtt;
+    f.inject(r);
+    mirror[id] = {has_rtt, has_rtt ? rtt : cfg.initial_rtt};
+  };
+  // Advance to the next round start and compare; a CLR that timed out at
+  // that round start has left the table after T was computed.
+  auto next_round = [&] {
+    const std::int32_t round = f.sender->round();
+    const std::int32_t clr = f.sender->clr();
+    while (f.sender->round() == round) f.sim.run_until(f.sim.now() + 1_ms);
+    ASSERT_EQ(f.sender->round_duration(), cfg.t_mult * scan_max_rtt());
+    if (f.sender->known_receivers() + 1 == static_cast<int>(mirror.size())) {
+      mirror.erase(clr);
+    }
+    ASSERT_EQ(f.sender->known_receivers(), static_cast<int>(mirror.size()));
+  };
+
+  report(0, 2000.0, true, 50_ms);
+  report(0, 2000.0, true, 50_ms);  // lifts the rate off the slowstart exit
+  Rng rng{2024};
+  int timeouts = 0, leaves = 0;
+  for (int step = 0; step < 400; ++step) {
+    const auto id = static_cast<std::int32_t>(rng.uniform_int(0, 11));
+    const double action = rng.uniform(0.0, 1.0);
+    if (action < 0.75) {
+      report(id, rng.uniform(1500.0, 3000.0), rng.bernoulli(0.8),
+             SimTime::millis(rng.uniform_int(20, 400)));
+      next_round();
+    } else if (action < 0.9) {
+      TfmccFeedbackHeader leave = SenderFixture::report(id, 2000.0);
+      leave.leaving = true;
+      f.inject(leave);
+      leaves += mirror.erase(id) > 0;
+      next_round();
+    } else {
+      // Silence: rounds pass without reports until the CLR times out.
+      const std::int32_t clr = f.sender->clr();
+      for (int r = 0; r < 15 && f.sender->clr() == clr; ++r) next_round();
+      timeouts += clr != kInvalidReceiver && f.sender->clr() != clr;
+    }
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(timeouts, 5);
+  EXPECT_GT(leaves, 20);
 }
 
 }  // namespace
