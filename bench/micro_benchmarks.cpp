@@ -139,7 +139,6 @@ void BM_MembershipChurn(benchmark::State& state, MembershipMode mode) {
   link.rate_bps = 1e9;
   link.delay = SimTime::millis(1);
   Dumbbell d = make_dumbbell(topo, 1, n, link, link);
-  topo.compute_routes();
   const GroupId gid = topo.create_group(d.left_hosts[0]);
   topo.set_membership_mode(mode);
   // Half the receivers are members; churn toggles cycle through them.

@@ -25,16 +25,7 @@ void Node::detach_agent(PortId port) {
   }
 }
 
-void Node::set_route(NodeId dst, Link* next_hop) {
-  const auto idx = static_cast<std::size_t>(dst);
-  if (routes_.size() <= idx) routes_.resize(idx + 1, nullptr);
-  routes_[idx] = next_hop;
-}
-
-Link* Node::route(NodeId dst) const {
-  const auto idx = static_cast<std::size_t>(dst);
-  return idx < routes_.size() ? routes_[idx] : nullptr;
-}
+Link* Node::route(NodeId dst) const { return topo_.route(id_, dst); }
 
 void Node::receive(const PacketPtr& p) {
   if (p->is_multicast()) {

@@ -26,8 +26,8 @@ class Agent {
   virtual int endpoint_count() const { return 1; }
 };
 
-/// A network node: forwards packets according to the topology's routing
-/// tables and delivers local traffic to attached agents.
+/// A network node: forwards packets along the topology's unicast routes
+/// and multicast trees and delivers local traffic to attached agents.
 class Node {
  public:
   Node(Topology& topo, NodeId id) : topo_{topo}, id_{id} {}
@@ -47,8 +47,7 @@ class Node {
   /// Entry point for agents sending a packet originating at this node.
   void send(const PacketPtr& p);
 
-  /// Routing: next-hop link for a unicast destination.
-  void set_route(NodeId dst, Link* next_hop);
+  /// Routing: next-hop link for a unicast destination (Topology::route).
   Link* route(NodeId dst) const;
 
   std::int64_t forwarded() const { return forwarded_; }
@@ -68,7 +67,6 @@ class Node {
   // A node hosts a handful of agents at most; a flat (port, agent) table
   // beats a hash map for the per-delivery port lookup.
   std::vector<std::pair<PortId, Agent*>> agents_;
-  std::vector<Link*> routes_;  // indexed by destination NodeId
   std::int64_t forwarded_{0};
   std::int64_t delivered_local_{0};
   std::int64_t delivered_endpoints_{0};

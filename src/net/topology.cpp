@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <stdexcept>
+#include <tuple>
 
 namespace tfmcc {
 
@@ -59,54 +60,69 @@ Link* Topology::link_between(NodeId from, NodeId to) {
 }
 
 void Topology::compute_routes() {
-  // Dijkstra from every node.  Cost = (propagation delay, hop count); the
-  // heap's deterministic tie-break on node id keeps route choice stable
-  // across runs.  The distance table and heap storage are hoisted out of
-  // the per-source loop and reused, so an n-node topology does O(1)
-  // allocations here instead of O(n).
-  const int n = node_count();
+  // Snapshot every link's delay into the reversed adjacency the per-
+  // destination Dijkstra walks.  Per target node the list is in adjacency
+  // order (by source node, then insertion order), so parallel links from one
+  // neighbour keep their insertion order.  Columns are rebuilt on demand.
+  const auto n = static_cast<std::size_t>(node_count());
+  in_links_.assign(n, {});
+  for (std::size_t from = 0; from < n; ++from) {
+    for (const auto& [to, l] : adjacency_[from]) {
+      in_links_[static_cast<std::size_t>(to)].push_back(
+          {static_cast<NodeId>(from), l->config().delay.count_nanos(), l});
+    }
+  }
+  next_hop_.assign(n, {});
+  // Routing change can alter multicast trees.
+  for (auto& g : groups_) rebuild_tree(g);
+}
+
+Link* Topology::route(NodeId from, NodeId dst) const {
+  const auto f = static_cast<std::size_t>(from);
+  const auto d = static_cast<std::size_t>(dst);
+  if (f >= next_hop_.size() || d >= next_hop_.size()) return nullptr;
+  auto& column = next_hop_[d];
+  if (column.empty()) column = next_hop_column(dst);
+  return column[f];
+}
+
+std::vector<Link*> Topology::next_hop_column(NodeId dst) const {
+  // Dijkstra towards dst over the reversed snapshot links.  Cost =
+  // (propagation delay, hop count); the heap's tie-break on node id keeps
+  // route choice deterministic, and only a strictly better cost replaces an
+  // entry, so the first of several parallel links keeps the route.
+  const std::size_t n = in_links_.size();
   struct Dist {
     std::int64_t delay_ns = std::numeric_limits<std::int64_t>::max();
     int hops = std::numeric_limits<int>::max();
-    Link* first_link = nullptr;  // first hop on the path src -> node
   };
-  std::vector<Dist> dist;
+  std::vector<Dist> dist(n);
+  std::vector<Link*> next(n, nullptr);
   using QE = std::tuple<std::int64_t, int, NodeId>;
   std::vector<QE> pq;
-  pq.reserve(static_cast<std::size_t>(n) * 2);
   const auto heap_greater = std::greater<>{};
-  for (NodeId src = 0; src < n; ++src) {
-    dist.assign(static_cast<std::size_t>(n), Dist{});
-    pq.clear();
-    dist[static_cast<std::size_t>(src)] = {0, 0, nullptr};
-    pq.emplace_back(0, 0, src);
-    while (!pq.empty()) {
-      std::pop_heap(pq.begin(), pq.end(), heap_greater);
-      const auto [d, h, u] = pq.back();
-      pq.pop_back();
-      auto& du = dist[static_cast<std::size_t>(u)];
-      if (d != du.delay_ns || h != du.hops) continue;  // stale entry
-      for (auto& [v, l] : adjacency_[static_cast<std::size_t>(u)]) {
-        const std::int64_t nd = d + l->config().delay.count_nanos();
-        const int nh = h + 1;
-        auto& dv = dist[static_cast<std::size_t>(v)];
-        if (nd < dv.delay_ns || (nd == dv.delay_ns && nh < dv.hops)) {
-          dv.delay_ns = nd;
-          dv.hops = nh;
-          dv.first_link = (u == src) ? l : du.first_link;
-          pq.emplace_back(nd, nh, v);
-          std::push_heap(pq.begin(), pq.end(), heap_greater);
-        }
-      }
-    }
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (dst != src) {
-        node(src).set_route(dst, dist[static_cast<std::size_t>(dst)].first_link);
+  dist[static_cast<std::size_t>(dst)] = {0, 0};
+  pq.emplace_back(0, 0, dst);
+  while (!pq.empty()) {
+    std::pop_heap(pq.begin(), pq.end(), heap_greater);
+    const auto [d, h, v] = pq.back();
+    pq.pop_back();
+    const auto& dv = dist[static_cast<std::size_t>(v)];
+    if (d != dv.delay_ns || h != dv.hops) continue;  // stale entry
+    for (const InLink& in : in_links_[static_cast<std::size_t>(v)]) {
+      const std::int64_t nd = d + in.delay_ns;
+      const int nh = h + 1;
+      const auto u = static_cast<std::size_t>(in.from);
+      auto& du = dist[u];
+      if (nd < du.delay_ns || (nd == du.delay_ns && nh < du.hops)) {
+        du = {nd, nh};
+        next[u] = in.link;
+        pq.emplace_back(nd, nh, in.from);
+        std::push_heap(pq.begin(), pq.end(), heap_greater);
       }
     }
   }
-  // Routing change can alter multicast trees.
-  for (auto& g : groups_) rebuild_tree(g);
+  return next;
 }
 
 SimTime Topology::path_delay(NodeId a, NodeId b) const {
@@ -114,7 +130,7 @@ SimTime Topology::path_delay(NodeId a, NodeId b) const {
   NodeId cur = a;
   int guard = node_count() + 1;
   while (cur != b) {
-    Link* l = node(cur).route(b);
+    Link* l = route(cur, b);
     if (l == nullptr || guard-- <= 0) return SimTime::infinity();
     total += l->config().delay;
     cur = l->destination().id();
@@ -226,7 +242,7 @@ void Topology::graft(GroupState& g, NodeId member) {
   while (cur != g.source) {
     const auto ci = static_cast<std::size_t>(cur);
     if (g.attached[ci]) break;  // shared trunk
-    Link* toward_src = node(cur).route(g.source);
+    Link* toward_src = route(cur, g.source);
     if (toward_src == nullptr || guard-- <= 0) {
       throw std::logic_error("multicast member unreachable from source; "
                              "did you call compute_routes()?");
@@ -256,7 +272,7 @@ void Topology::prune(GroupState& g, NodeId member) {
         g.member_flags[ci] != 0) {
       break;
     }
-    Link* toward_src = node(cur).route(g.source);
+    Link* toward_src = route(cur, g.source);
     if (toward_src == nullptr || guard-- <= 0) {
       throw std::logic_error("multicast member unreachable from source; "
                              "did you call compute_routes()?");

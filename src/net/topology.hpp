@@ -22,9 +22,9 @@ namespace tfmcc {
 enum class MembershipMode { kIncremental, kFullRebuild };
 
 /// Owns the nodes and links of an experiment, computes unicast routes
-/// (Dijkstra over propagation delay) and maintains multicast distribution
-/// trees (reverse-shortest-path trees, as dense-mode multicast routing
-/// builds them in ns-2).
+/// (Dijkstra over propagation delay, one destination at a time) and
+/// maintains multicast distribution trees (reverse-shortest-path trees, as
+/// dense-mode multicast routing builds them in ns-2).
 class Topology {
  public:
   explicit Topology(Simulator& sim) : sim_{sim} {}
@@ -39,10 +39,26 @@ class Topology {
   std::pair<Link*, Link*> add_duplex_link(NodeId a, NodeId b,
                                           const LinkConfig& cfg);
 
-  /// (Re)compute all unicast routing tables.  Must be called after the last
-  /// link is added and before traffic starts.  Cost metric: propagation
-  /// delay, ties broken by hop count, then by node id (deterministic).
+  /// Snapshot the links for unicast routing and rebuild the multicast
+  /// trees.  Must be called after the last link is added and before traffic
+  /// starts.  It runs no shortest-path search itself (O(nodes + links) plus
+  /// the tree rebuilds), so calling it again after a topology edit is cheap.
+  ///
+  /// Routes are computed per destination on the first route() query for it
+  /// and cached until the next compute_routes().  They see the topology as
+  /// it was at the last compute_routes(): a later Link::set_delay does not
+  /// reroute, and links or nodes added since have no routes until it runs
+  /// again.
   void compute_routes();
+
+  /// Next-hop link on the unicast route from -> dst; nullptr when dst is
+  /// unreachable, from == dst, or either id is outside the snapshot.
+  /// Cost metric: propagation delay, then hop count.  Among equal-cost
+  /// routes the next hop is the neighbour nearest dst (least remaining
+  /// delay), then the lowest-id neighbour, then the first-added of parallel
+  /// links: the destination-rooted Dijkstra's pop order.  The first query
+  /// for a destination costs one Dijkstra; later queries are one load.
+  Link* route(NodeId from, NodeId dst) const;
 
   // --- access --------------------------------------------------------------
   Node& node(NodeId id) { return *nodes_.at(static_cast<std::size_t>(id)); }
@@ -122,18 +138,31 @@ class Topology {
   /// added after create_group() are always in range (join() used to grow
   /// member_flags only, leaving out_links indexed out of bounds).
   void ensure_group_capacity(GroupState& g);
+  /// Dijkstra towards dst over in_links_: the next hop of every node.
+  std::vector<Link*> next_hop_column(NodeId dst) const;
 
   Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   // adjacency[from] = {(to, link)} for tree building and diagnostics.
-  // Insertion order is meaningful (Dijkstra relaxation order, parallel-link
-  // precedence) and must not be sorted in place.
+  // Insertion order is meaningful (parallel-link precedence in routing and
+  // link_between) and must not be sorted in place.
   std::vector<std::vector<std::pair<NodeId, Link*>>> adjacency_;
   // Stable-sorted copy of adjacency_ for link_between(); rebuilt on demand
   // after topology edits.
   std::vector<std::vector<std::pair<NodeId, Link*>>> adjacency_sorted_;
   bool adjacency_index_dirty_{true};
+  // A link into some node, with its delay as of the last compute_routes().
+  struct InLink {
+    NodeId from;
+    std::int64_t delay_ns;
+    Link* link;
+  };
+  // in_links_[to] = links into `to` at the last compute_routes().
+  std::vector<std::vector<InLink>> in_links_;
+  // next_hop_[dst][from] = route(from, dst); a column stays empty until its
+  // first query.  Sized to the node count at the last compute_routes().
+  mutable std::vector<std::vector<Link*>> next_hop_;
   std::vector<GroupState> groups_;
   std::vector<Link*> empty_links_{};
   MembershipMode membership_mode_{MembershipMode::kIncremental};

@@ -246,7 +246,7 @@ TEST(WelfordSerialize, LoadRejectsTruncatedAndForeignStreams) {
 }
 
 TEST(StrIo, RoundTripsEmptyAndBinaryishStrings) {
-  for (const std::string s :
+  for (const std::string& s :
        {std::string{}, std::string{"plain"}, std::string{"with spaces\nand "
                                                          "newlines:colons"}}) {
     std::ostringstream os;

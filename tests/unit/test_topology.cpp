@@ -57,6 +57,135 @@ TEST(Topology, TieBreaksByHopCount) {
   EXPECT_EQ(topo.node(a).route(b)->destination().id(), b);
 }
 
+TEST(Topology, EqualCostTieGoesToNeighbourNearestDestination) {
+  // Diamond s -> {a, b} -> d, both ways 3 ms over 2 hops.  Via a the first
+  // hop is short (1 + 2 ms); via b it is long (2 + 1 ms).  The route takes
+  // the neighbour with the least remaining delay to d, so s goes via b and
+  // d goes back via a.  A source-rooted search would have picked a.
+  Simulator sim{1};
+  Topology topo{sim};
+  const NodeId s = topo.add_node();
+  const NodeId a = topo.add_node();
+  const NodeId b = topo.add_node();
+  const NodeId d = topo.add_node();
+  LinkConfig one_ms;
+  one_ms.delay = 1_ms;
+  LinkConfig two_ms;
+  two_ms.delay = 2_ms;
+  topo.add_duplex_link(s, a, one_ms);
+  topo.add_duplex_link(a, d, two_ms);
+  Link* sb = topo.add_duplex_link(s, b, two_ms).first;
+  topo.add_duplex_link(b, d, one_ms);
+  topo.compute_routes();
+  EXPECT_EQ(topo.route(s, d), sb);
+  EXPECT_EQ(topo.route(d, s)->destination().id(), a);
+  EXPECT_EQ(topo.path_delay(s, d), 3_ms);
+
+  // Equal remaining delay too: the lower neighbour id wins, and among
+  // parallel links to it the first one added.
+  Simulator sim2{1};
+  Topology sym{sim2};
+  const NodeId s2 = sym.add_node();
+  const NodeId low = sym.add_node();
+  const NodeId high = sym.add_node();
+  const NodeId d2 = sym.add_node();
+  sym.add_duplex_link(s2, high, one_ms);
+  sym.add_duplex_link(high, d2, one_ms);
+  Link* to_low = sym.add_duplex_link(s2, low, one_ms).first;
+  sym.add_duplex_link(low, d2, one_ms);
+  sym.add_link(s2, low, one_ms);  // parallel to to_low, added later
+  sym.compute_routes();
+  EXPECT_EQ(sym.route(s2, d2), to_low);
+}
+
+TEST(Topology, RoutesUseTheDelaysOfTheLastComputeRoutes) {
+  // a - b direct at 10 ms, a - c - b at 3 + 3 ms.
+  Simulator sim{1};
+  Topology topo{sim};
+  const NodeId a = topo.add_node();
+  const NodeId b = topo.add_node();
+  const NodeId c = topo.add_node();
+  LinkConfig slow;
+  slow.delay = 10_ms;
+  LinkConfig fast;
+  fast.delay = 3_ms;
+  auto [ab, ba] = topo.add_duplex_link(a, b, slow);
+  auto [ac, ca] = topo.add_duplex_link(a, c, fast);
+  topo.add_duplex_link(c, b, fast);
+  topo.compute_routes();
+
+  // The first query for b comes after the delay change: still via c.
+  ac->set_delay(50_ms);
+  EXPECT_EQ(topo.route(a, b), ac);
+  topo.compute_routes();
+  EXPECT_EQ(topo.route(a, b), ab);
+
+  // A query before the change caches the column; the change does not touch
+  // it, the next compute_routes() does.
+  EXPECT_EQ(topo.route(b, a)->destination().id(), c);
+  ca->set_delay(50_ms);
+  EXPECT_EQ(topo.route(b, a)->destination().id(), c);
+  topo.compute_routes();
+  EXPECT_EQ(topo.route(b, a), ba);
+}
+
+TEST(Topology, LinksAndNodesAddedLaterRouteAfterComputeRoutes) {
+  Simulator sim{1};
+  Topology topo{sim};
+  const NodeId a = topo.add_node();
+  const NodeId b = topo.add_node();
+  const NodeId c = topo.add_node();
+  LinkConfig slow;
+  slow.delay = 10_ms;
+  topo.add_duplex_link(a, c, slow);
+  topo.add_duplex_link(c, b, slow);
+  topo.compute_routes();
+  EXPECT_EQ(topo.route(a, b)->destination().id(), c);
+
+  // A faster direct link is ignored until routes are recomputed.
+  LinkConfig fast;
+  fast.delay = 1_ms;
+  Link& direct = topo.add_link(a, b, fast);
+  EXPECT_EQ(topo.route(a, b)->destination().id(), c);
+  EXPECT_EQ(topo.path_delay(a, b), 20_ms);
+
+  // A late node has no routes either way until then.
+  const NodeId late = topo.add_node();
+  topo.add_duplex_link(b, late, fast);
+  EXPECT_EQ(topo.route(a, late), nullptr);
+  EXPECT_EQ(topo.route(late, a), nullptr);
+  EXPECT_EQ(topo.node(late).route(b), nullptr);
+  EXPECT_TRUE(topo.path_delay(a, late).is_infinite());
+
+  topo.compute_routes();
+  EXPECT_EQ(topo.route(a, b), &direct);
+  EXPECT_EQ(topo.route(a, late), &direct);
+  EXPECT_EQ(topo.path_delay(a, late), 2_ms);
+}
+
+TEST(Topology, RouteIsNullForSelfUnreachableAndOutOfRange) {
+  Simulator sim{1};
+  Topology topo{sim};
+  const NodeId a = topo.add_node();
+  const NodeId b = topo.add_node();
+  const NodeId island = topo.add_node();
+  auto [ab, ba] = topo.add_duplex_link(a, b, LinkConfig{});
+  // Before the first compute_routes() nothing is routed.
+  EXPECT_EQ(topo.route(a, b), nullptr);
+  topo.compute_routes();
+  EXPECT_EQ(topo.route(a, b), ab);
+  EXPECT_EQ(topo.node(b).route(a), ba);
+  EXPECT_EQ(topo.route(a, a), nullptr);
+  EXPECT_EQ(topo.node(b).route(b), nullptr);
+  EXPECT_EQ(topo.route(a, island), nullptr);
+  EXPECT_EQ(topo.route(island, a), nullptr);
+  EXPECT_EQ(topo.route(a, topo.node_count()), nullptr);
+  EXPECT_EQ(topo.route(topo.node_count(), a), nullptr);
+  EXPECT_EQ(topo.route(a, kInvalidNode), nullptr);
+  EXPECT_EQ(topo.route(kInvalidNode, b), nullptr);
+  EXPECT_EQ(topo.node(a).route(kInvalidNode), nullptr);
+}
+
 TEST(Topology, PathDelayUnreachableIsInfinite) {
   Simulator sim{1};
   Topology topo{sim};
