@@ -7,9 +7,8 @@
 //   3. a "CHECK" summary comparing the measured shape against the paper's
 //      qualitative claim (recorded in EXPERIMENTS.md).
 //
-// Benches define their entry point with TFMCC_SCENARIO (sim/scenario.hpp):
-// the same translation unit builds both as a standalone binary and as one
-// of the scenarios linked into the unified `tfmcc_sim` driver.
+// Benches define their entry point with TFMCC_SCENARIO (sim/scenario.hpp),
+// which registers them as scenarios of the unified `tfmcc_sim` driver.
 
 #include <algorithm>
 #include <ostream>

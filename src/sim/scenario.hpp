@@ -5,9 +5,6 @@
 // Every paper-figure experiment registers itself under a stable name via
 // TFMCC_SCENARIO; the `tfmcc_sim` binary links all of them and dispatches by
 // name, so adding a workload is one registration instead of a new binary.
-// The same translation units still build as standalone per-figure binaries
-// (with TFMCC_BENCH_STANDALONE defined) whose main() goes through the exact
-// same scenario function, keeping the CSV output schema identical.
 //
 // Scenarios declare their tunable knobs as typed ParamSpecs in the
 // registration macro; the driver surfaces them in `--list`, validates
@@ -67,8 +64,8 @@ struct ScenarioOptions {
   std::optional<SimTime> duration;
   std::optional<std::uint64_t> seed;
   /// `--output <path>`: where the CLI drivers redirect the scenario's
-  /// output sink before running (kept here so both the unified driver and
-  /// the standalone bench mains share the parse).
+  /// output sink before running (kept here so the single-run and sweep
+  /// command lines share the parse).
   std::optional<std::string> output_path;
 
   SimTime duration_or(SimTime dflt) const { return duration.value_or(dflt); }
@@ -207,27 +204,14 @@ bool open_output_file(const std::string& path, std::ofstream& file,
 bool finish_output_file(const std::string& path, std::ofstream& file,
                         std::ostream& err);
 
-/// CLI tail shared by `tfmcc_sim` and the standalone bench mains: honours
-/// opts.output_path (opening the file and redirecting the scenario's output
-/// sink), then dispatches through the registry.  Returns the scenario's
-/// exit code, or -1 after a diagnostic on `err`.
+/// Single-run CLI tail of `tfmcc_sim`: honours opts.output_path (opening
+/// the file and redirecting the scenario's output sink), then dispatches
+/// through the registry.  Returns the scenario's exit code, or -1 after a
+/// diagnostic on `err`.
 int run_scenario_cli(std::string_view name, ScenarioOptions& opts,
                      std::ostream& err);
 
-/// Shared main() body for the standalone bench binaries: parse the option
-/// flags, then run the single named scenario from the registry.
-int run_scenario_main(const char* name, int argc, char** argv);
-
 }  // namespace tfmcc
-
-#ifdef TFMCC_BENCH_STANDALONE
-#define TFMCC_SCENARIO_DEFINE_MAIN(ident)                                 \
-  int main(int argc, char** argv) {                                       \
-    return ::tfmcc::run_scenario_main(#ident, argc, argv);                \
-  }
-#else
-#define TFMCC_SCENARIO_DEFINE_MAIN(ident)
-#endif
 
 /// Defines and registers a scenario function; optional trailing arguments
 /// declare its tunable parameters:
@@ -244,6 +228,5 @@ int run_scenario_main(const char* name, int argc, char** argv);
       ::tfmcc::ScenarioRegistry::instance().add(                           \
           #ident, desc, &tfmcc_scenario_##ident,                           \
           ::tfmcc::ParamSpecList{__VA_ARGS__});                            \
-  TFMCC_SCENARIO_DEFINE_MAIN(ident)                                        \
   static int tfmcc_scenario_##ident(                                       \
       [[maybe_unused]] const ::tfmcc::ScenarioOptions& opts)

@@ -418,11 +418,4 @@ int run_scenario_cli(std::string_view name, ScenarioOptions& opts,
   return rc;
 }
 
-int run_scenario_main(const char* name, int argc, char** argv) {
-  ScenarioOptions opts;
-  if (!parse_scenario_options(argc - 1, argv + 1, opts, std::cerr)) return 2;
-  const int rc = run_scenario_cli(name, opts, std::cerr);
-  return rc < 0 ? 2 : rc;
-}
-
 }  // namespace tfmcc

@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "sim/sweep_state.hpp"
-#include "sim/trace.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
@@ -57,10 +56,9 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
 
 struct PointResult {
   int rc{0};
-  /// The run's CSV content as an encoded RunTrace blob (commentary already
-  /// stripped, rows already split into cells by the worker thread), not the
-  /// raw text capture.
-  std::string trace;
+  /// The run's CSV content, parsed by the worker thread; the fold moves
+  /// its rows into the grid point's accumulator.
+  RunOutput output;
   std::string error;
 };
 
@@ -287,6 +285,28 @@ double weighted_eta_seconds(double elapsed_s, double weight_done,
                             double weight_total) {
   if (weight_done <= 0.0) return 0.0;
   return elapsed_s / weight_done * std::max(0.0, weight_total - weight_done);
+}
+
+bool is_commentary(std::string_view line) {
+  return line.empty() || line.front() == '#' ||
+         line.substr(0, 6) == "CHECK " || line.substr(0, 5) == "NOTE:";
+}
+
+RunOutput parse_run_output(std::string_view text) {
+  RunOutput run;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    const std::size_t nl = std::min(text.find('\n', start), text.size());
+    const std::string_view line = text.substr(start, nl - start);
+    start = nl + 1;
+    if (is_commentary(line)) continue;
+    if (run.header.empty()) {
+      run.header = line;
+    } else {
+      run.rows.push_back(summary::split_csv(line));
+    }
+  }
+  return run;
 }
 
 void request_sweep_interrupt() {
@@ -526,15 +546,8 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       }
     } else if (!merge_failed && point_failed[task_point(t)] == 0 &&
                (max_pf == 0 ? !any_failed : n_failed_points <= max_pf)) {
-      RunTrace trace;
-      std::string decode_err;
-      if (!RunTrace::decode(res.trace, trace, decode_err)) {
-        merge_log << "error: sweep point " << point_label(sweep.axes, point)
-                  << replicate_label(sweep, rep, n_rep)
-                  << " produced an unreadable trace: " << decode_err << '\n';
-        merge_failed = true;
-      } else if (trace.has_header()) {
-        const std::string line = trace.header_line();
+      const std::string& line = res.output.header;
+      if (!line.empty()) {
         if (header.empty()) {
           header = line;
           per_point.assign(grid.size(),
@@ -548,11 +561,11 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
         }
         if (!merge_failed) {
           auto& acc = per_point[task_point(t)];
-          for (std::size_t r = 0; r < trace.n_rows(); ++r) {
+          for (auto& cells : res.output.rows) {
             if (n_rep == 1) {
               // The raw aggregate passes ragged rows through verbatim.
-              acc.add_row_unchecked(trace.row_cells(r));
-            } else if (!acc.add_row(trace.row_cells(r), merge_log)) {
+              acc.add_row_unchecked(std::move(cells));
+            } else if (!acc.add_row(std::move(cells), merge_log)) {
               merge_log << "  (sweep point " << point_label(sweep.axes, point)
                         << replicate_label(sweep, rep, n_rep) << ")\n";
               merge_failed = true;
@@ -563,8 +576,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       }
     }
     // Folded (or unusable): release the capture.
-    res.trace.clear();
-    res.trace.shrink_to_fit();
+    res.output = RunOutput{};
   };
 
   // Snapshot the fold state to the checkpoint file (caller holds fold_mu).
@@ -636,8 +648,8 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
         results[t].error = "unknown exception";
       }
       // Strip commentary and split cells here, in the worker, so the fold
-      // (serialized behind fold_mu) only replays pre-parsed rows.
-      RunTrace::parse_text(sink.str()).encode(results[t].trace);
+      // (serialized behind fold_mu) only moves pre-parsed rows.
+      results[t].output = parse_run_output(sink.str());
       {
         std::lock_guard<std::mutex> lock(fold_mu);
         task_ready[t] = 1;

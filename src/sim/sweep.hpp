@@ -91,6 +91,23 @@ double sweep_point_cost(const std::vector<std::string>& point);
 double weighted_eta_seconds(double elapsed_s, double weight_done,
                             double weight_total);
 
+/// One run's CSV content with the commentary stripped: the header line and
+/// every data row split into cells.  An empty header means the run printed
+/// no CSV (blank lines are commentary, so a real header is never empty).
+struct RunOutput {
+  std::string header;
+  std::vector<std::vector<std::string>> rows;
+};
+
+/// True for the text a scenario interleaves with its CSV: the figure
+/// header (`#`), `CHECK ` and `NOTE:` lines, and blank lines.
+bool is_commentary(std::string_view line);
+
+/// Parses a scenario's captured text output: commentary lines are dropped,
+/// the first remaining line becomes the header, the rest the data rows.
+/// Never fails: any text is some output.
+RunOutput parse_run_output(std::string_view text);
+
 struct SweepOptions {
   std::vector<SweepAxis> axes;
   int jobs{1};

@@ -65,8 +65,7 @@ TEST(ScenarioRegistry, RunForwardsOptionsAndExitCode) {
   EXPECT_TRUE(err.str().empty());
 }
 
-// The macro registers into the process-wide instance; gtest_main provides
-// main(), so no standalone entry point is emitted here.
+// The macro registers into the process-wide instance.
 TFMCC_SCENARIO(test_registry_macro_scenario, "macro-registered scenario") {
   return opts.seed_or(0) == 0 ? 0 : 1;
 }

@@ -1,8 +1,9 @@
 // Unit tests for the parameter-sweep driver (sim/sweep.hpp): grid-spec
 // parsing (lists, linear/log ranges, malformed specs), cartesian expansion
-// order, and run_sweep itself — deterministic grid-order aggregation that
-// is byte-identical across --jobs levels even when completion order is
-// deliberately skewed, plus the validation and failure paths.
+// order, parsing a run's captured output, and run_sweep itself —
+// deterministic grid-order aggregation that is byte-identical across --jobs
+// levels even when completion order is deliberately skewed, plus the
+// validation and failure paths.
 
 #include "sim/sweep.hpp"
 
@@ -194,6 +195,52 @@ TEST(SweepGrid, SingleAxisGridIsTheAxis) {
   const auto grid = expand_grid({{"a", {"1", "2", "3"}}});
   ASSERT_EQ(grid.size(), 3u);
   EXPECT_EQ(grid[2], (std::vector<std::string>{"3"}));
+}
+
+using Cells = std::vector<std::string>;
+
+TEST(RunOutputParse, ParsesHeaderAndRowsDroppingCommentary) {
+  const RunOutput run = parse_run_output(
+      "# figure header commentary\n"
+      "\n"
+      "flow,time_s,kbps\n"
+      "alpha,0.5,120\n"
+      "CHECK throughput within bounds\n"
+      "beta,1.5,240.25\n"
+      "NOTE: run complete\n");
+  EXPECT_EQ(run.header, "flow,time_s,kbps");
+  ASSERT_EQ(run.rows.size(), 2u);
+  EXPECT_EQ(run.rows[0], (Cells{"alpha", "0.5", "120"}));
+  EXPECT_EQ(run.rows[1], (Cells{"beta", "1.5", "240.25"}));
+}
+
+TEST(RunOutputParse, EmptyCellsAndRaggedRowsSurvive) {
+  const RunOutput run = parse_run_output("a,b\n1,,3\n,\n");
+  EXPECT_EQ(run.header, "a,b");
+  ASSERT_EQ(run.rows.size(), 2u);
+  EXPECT_EQ(run.rows[0], (Cells{"1", "", "3"}));
+  EXPECT_EQ(run.rows[1], (Cells{"", ""}));
+}
+
+TEST(RunOutputParse, CommentaryOnlyOutputYieldsEmptyHeader) {
+  const RunOutput run = parse_run_output("# nothing\nNOTE: but talk\n\n");
+  EXPECT_EQ(run.header, "");
+  EXPECT_TRUE(run.rows.empty());
+}
+
+TEST(RunOutputParse, LastLineWithoutTrailingNewlineIsKept) {
+  const RunOutput run = parse_run_output("h1,h2\n5,6");
+  ASSERT_EQ(run.rows.size(), 1u);
+  EXPECT_EQ(run.rows[0], (Cells{"5", "6"}));
+}
+
+TEST(RunOutputParse, IsCommentaryMatchesTheScenarioConventions) {
+  EXPECT_TRUE(is_commentary(""));
+  EXPECT_TRUE(is_commentary("# fig07"));
+  EXPECT_TRUE(is_commentary("CHECK cov < 0.2"));
+  EXPECT_TRUE(is_commentary("NOTE: warming up"));
+  EXPECT_FALSE(is_commentary("flow,kbps"));
+  EXPECT_FALSE(is_commentary("CHECKED,1"));
 }
 
 std::string run_probe_sweep(SweepOptions sweep, int expected_rc = 0,
