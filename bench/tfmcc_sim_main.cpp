@@ -12,8 +12,10 @@
 // The same options always give byte-identical output, and a sweep's
 // aggregate CSV does not depend on `--jobs`.
 
-#include <cstring>
+#include <algorithm>
 #include <iostream>
+#include <sstream>
+#include <string>
 
 #include "sim/campaign.hpp"
 #include "sim/scenario.hpp"
@@ -22,24 +24,41 @@
 
 namespace {
 
+/// Prints `usage` after a 7-column indent, wrapping before a " [" so that
+/// no line passes 79 columns.
+void print_wrapped(std::ostream& os, const std::string& usage) {
+  std::string line(7, ' ');
+  for (std::size_t start = 0; start < usage.size();) {
+    const std::size_t next =
+        std::min(usage.find(" [", start + 1), usage.size());
+    const std::string piece = usage.substr(start, next - start);
+    if (line.size() + piece.size() > 79 && start != 0) {
+      os << line << '\n';
+      line = std::string(16, ' ') + piece.substr(1);
+    } else {
+      line += piece;
+    }
+    start = next;
+  }
+  os << line << '\n';
+}
+
 void print_usage(std::ostream& os) {
-  os << "usage: tfmcc_sim --list\n"
-        "       tfmcc_sim <scenario> [--duration <seconds>] [--seed <n>]\n"
-        "                            [--set key=value]... [--output <path>]\n"
-        "       tfmcc_sim sweep <scenario> --sweep key=v1,v2,...\n"
-        "                       [--sweep key=lo:hi:linN|logN]... [--jobs N]\n"
-        "                       [--replicate N] [--stats mean,cov,...]\n"
-        "                       [--progress] [--shard i/n]\n"
-        "                       [--checkpoint <path>] [--checkpoint-every N]\n"
-        "                       [--resume <path>] [--max-point-failures K]\n"
-        "                       [single-run flags]\n"
-        "       tfmcc_sim merge [--output <path>] <partial>...\n"
-        "       tfmcc_sim campaign <scenario> --sweep ... [--shards N]\n"
-        "                       [--stall-timeout S] [--max-retries K]\n"
-        "                       [--backoff-base S] [--backoff-max S]\n"
-        "                       [--dir <path>] [--exec <path>]\n"
-        "                       [sweep and single-run flags]\n"
-        "`--list` shows each scenario's tunable parameters with their paper\n"
+  // Every command prints its usage line, rendered from its flag table, when
+  // it is given no arguments.
+  std::ostringstream lines;
+  tfmcc::ScenarioOptions unused;
+  lines << "usage: tfmcc_sim <scenario>"
+        << tfmcc::flag_usage(tfmcc::scenario_flags(unused)) << '\n';
+  tfmcc::sweep_main(0, nullptr, lines);
+  tfmcc::merge_main(0, nullptr, lines);
+  tfmcc::campaign_main(0, nullptr, lines);
+  os << "usage: tfmcc_sim --list\n";
+  std::istringstream is{lines.str()};
+  for (std::string line; std::getline(is, line);) {
+    if (line.rfind("usage: ", 0) == 0) print_wrapped(os, line.substr(7));
+  }
+  os << "`--list` shows each scenario's tunable parameters with their paper\n"
         "defaults; `--set` overrides them.  Scenarios with scripted event\n"
         "schedules rescale the script proportionally under --duration.\n"
         "`sweep` runs one scenario over a parameter grid (points in\n"
@@ -53,13 +72,14 @@ void print_usage(std::ostream& os) {
         "writes a partial artifact; `merge` folds all n partials into the\n"
         "byte-identical unsharded aggregate.  `--checkpoint`/`--resume`\n"
         "make a killed sweep restartable with byte-identical output.\n"
-        "`campaign` supervises all n shards as child processes: it polls\n"
-        "their checkpoint heartbeats, relaunches crashed shards with\n"
-        "--resume under exponential backoff, kills and restarts stalled\n"
-        "stragglers, and merges on completion — the merged CSV is\n"
-        "byte-identical to the unsharded sweep.  If a shard exhausts its\n"
-        "retries the campaign names the missing grid points and exits 2\n"
-        "with the surviving partials preserved.\n";
+        "`campaign` validates the grid once, then supervises all n shards\n"
+        "as child processes: it polls their checkpoint heartbeats, relaunches\n"
+        "crashed shards with --resume under exponential backoff, kills and\n"
+        "restarts stalled stragglers, and merges on completion — the merged\n"
+        "CSV is byte-identical to the unsharded sweep.  If a shard exhausts\n"
+        "its retries the campaign names the missing grid points and exits 2\n"
+        "with the surviving partials preserved.  Every command exits 2 on a\n"
+        "bad flag or value, before anything runs.\n";
 }
 
 void print_list() {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "tfrc/equation.hpp"
 #include "tfrc/loss_history.hpp"

@@ -41,6 +41,7 @@
 // sweep no matter how many times its shards crashed or stalled.
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,8 +70,8 @@ struct CampaignOptions {
   /// Binary to exec for shards; defaults to self_executable_path().  CI
   /// fault injection points this at a wrapper script.
   std::string exec_path;
-  /// Merged CSV destination ("" = stdout).
-  std::string output_path;
+  /// Merged CSV destination (unset = stdout).
+  std::optional<std::string> output_path;
   /// Forwarded as the children's --checkpoint-every; 1 maximizes the
   /// heartbeat rate the stall detector sees.
   int checkpoint_every{1};
@@ -93,19 +94,27 @@ double campaign_backoff_seconds(int relaunch, double base_s, double max_s);
 /// cannot be resolved — callers must then pass --exec explicitly.
 std::string self_executable_path();
 
-/// Runs the campaign to completion: launch, supervise, recover, merge.
+/// Runs the campaign to completion: plan, launch, supervise, recover,
+/// merge.  The sweep is validated by the same plan_sweep every shard runs;
+/// the campaign's own options are taken as parse_campaign_cli bounds them.
 /// Returns 0 with the merged CSV written, 1 when interrupted (shards
 /// resumable), 2 when a shard exhausted retries (missing points reported,
 /// partials preserved) or on configuration errors.
 int run_campaign(const Scenario& scenario, const CampaignOptions& opts,
                  std::ostream& err);
 
-/// CLI entry for `tfmcc_sim campaign <scenario> ...`: argv holds
-/// everything after the `campaign` token.  Campaign flags (--shards,
-/// --stall-timeout, --max-retries, --backoff-base, --backoff-max,
-/// --poll-interval, --dir, --exec, --checkpoint-every, --output, --jobs)
-/// are consumed here; sweep and single-run flags are validated and
-/// forwarded to the shards.  Returns the process exit code.
+/// Parses `tfmcc_sim campaign` argv (everything after the `campaign`
+/// token): the sweep-definition flags of parse_sweep_command, recorded in
+/// `child_args` for the shards, and the campaign's own flags (--shards,
+/// --jobs, --dir, --stall-timeout, --max-retries, --backoff-base,
+/// --backoff-max, --poll-interval, --exec, --checkpoint-every, --output).
+/// The flags the supervisor sets per shard are refused.  Returns the
+/// scenario, or nullptr after a usage line or diagnostic on `err`.
+const Scenario* parse_campaign_cli(int argc, char** argv,
+                                   CampaignOptions& opts, std::ostream& err);
+
+/// CLI entry for `tfmcc_sim campaign <scenario> ...` (see
+/// parse_campaign_cli).  Returns the process exit code.
 int campaign_main(int argc, char** argv, std::ostream& err);
 
 }  // namespace tfmcc

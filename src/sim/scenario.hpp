@@ -12,6 +12,7 @@
 // reads them back through ScenarioOptions::param_or<T>().
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <optional>
@@ -108,6 +109,8 @@ struct ScenarioOptions {
   /// Asserts (debug) / warns on stderr (release) when `name` is not among
   /// the bound ParamSpecs; no-op when no specs are bound.
   void check_declared(std::string_view name) const;
+  /// The override of `name` (after check_declared), nullptr when unset.
+  const std::string* find_param(std::string_view name) const;
 
   std::map<std::string, std::string, std::less<>> params_;
   const ParamSpecList* specs_{nullptr};
@@ -176,6 +179,9 @@ class ScenarioRegistry {
 
   /// Nullptr when no scenario is registered under `name`.
   const Scenario* find(std::string_view name) const;
+  /// find(), but a miss also lists the known scenarios on `err`.
+  const Scenario* find_or_diagnose(std::string_view name,
+                                   std::ostream& err) const;
 
   std::vector<std::string> names() const;
   std::size_t size() const { return scenarios_.size(); }
@@ -190,24 +196,79 @@ class ScenarioRegistry {
   std::map<std::string, Scenario, std::less<>> scenarios_;
 };
 
-/// Parses `--duration <seconds>` / `--seed <n>` / `--set key=value` /
-/// `--output <path>` flags.  Returns false and writes a diagnostic to `err`
-/// on unknown flags or malformed values.
+/// Number parsers shared by `--set` coercion and the flag tables.  Integers
+/// also accept whole-number decimal and scientific spellings ("2e3").
+bool parse_f64(std::string_view text, double& out);
+bool parse_i64(std::string_view text, std::int64_t& out);
+
+/// One command-line flag.  The single-run, `sweep`, `campaign` and `merge`
+/// command lines are each one table of these: parse_flags parses argv
+/// against it and flag_usage renders its usage line.
+struct Flag {
+  std::string_view name;
+  /// Usage placeholder of the value ("N", "<path>"); empty for a switch.
+  std::string_view meta;
+  /// Ends "error: <name> expects ..." for a missing or rejected value.  A
+  /// flag without `set` is refused with "error: <name> <expects>".
+  std::string expects;
+  /// Parses and stores the value (a switch gets "").  Returning false
+  /// rejects it, with the setter's own diagnostic if it wrote one.
+  std::function<bool(std::string_view value, std::ostream& err)> set;
+  /// Usage shows "[name meta]..." for a flag that may be repeated.
+  bool repeats{false};
+  /// `campaign` forwards the flag and its value verbatim to every shard.
+  bool forward{false};
+};
+using FlagTable = std::vector<Flag>;
+
+/// An integer flag in [lo, hi], seconds in (0, 1e6], a non-empty path
+/// (into a std::string or std::optional<std::string>).
+Flag int_flag(std::string_view name, int& to, std::int64_t lo,
+              std::int64_t hi);
+Flag seconds_flag(std::string_view name, double& to);
+template <typename Path>
+Flag path_flag(std::string_view name, Path& to,
+               std::string expects = "a file path") {
+  return {name, "<path>", std::move(expects),
+          [&to](std::string_view v, std::ostream&) {
+            to = std::string{v};
+            return !v.empty();
+          }};
+}
+
+/// Parses argv against `table`.  Arguments that are not flags go to
+/// `operands` (an unknown flag otherwise); the arguments of forwarded flags
+/// are appended to `forwarded` when it is given.  Returns false after a
+/// diagnostic on `err`.
+bool parse_flags(int argc, char** argv, const FlagTable& table,
+                 std::ostream& err,
+                 std::vector<std::string>* operands = nullptr,
+                 std::vector<std::string>* forwarded = nullptr);
+
+/// " [--flag meta] [--switch] [--repeated meta]..." for `table`.
+std::string flag_usage(const FlagTable& table);
+
+/// The single-run flags, which `sweep` and `campaign` accept too:
+/// `--duration <s>`, `--seed <n>`, `--set key=value` (all forwarded to
+/// campaign shards) and `--output <path>`.
+FlagTable scenario_flags(ScenarioOptions& opts);
+
+/// Parses argv against scenario_flags(opts).  Returns false and writes a
+/// diagnostic to `err` on unknown flags or malformed values.
 bool parse_scenario_options(int argc, char** argv, ScenarioOptions& opts,
                             std::ostream& err);
 
-/// `--output` plumbing shared by the single-run and sweep CLI tails: open
-/// `path` for writing / flush and close it, diagnosing failures on `err`.
-/// Both return false after a diagnostic.
-bool open_output_file(const std::string& path, std::ofstream& file,
-                      std::ostream& err);
-bool finish_output_file(const std::string& path, std::ofstream& file,
-                        std::ostream& err);
+/// `--output` plumbing shared by the CLI commands: runs `body` on the file
+/// at `path` (opened for writing, flushed and checked after) or on
+/// std::cout when `path` is unset.  Returns body's result, or 2 after a
+/// diagnostic on `err` when the file cannot be opened or written.
+int write_output(const std::optional<std::string>& path, std::ostream& err,
+                 const std::function<int(std::ostream&)>& body);
 
-/// Single-run CLI tail of `tfmcc_sim`: honours opts.output_path (opening
-/// the file and redirecting the scenario's output sink), then dispatches
-/// through the registry.  Returns the scenario's exit code, or -1 after a
-/// diagnostic on `err`.
+/// Single-run CLI tail of `tfmcc_sim`: runs the scenario with its output
+/// sink on opts.output_path (see write_output), dispatching through the
+/// registry.  Returns the scenario's exit code, or -1 after a diagnostic on
+/// `err` for an unknown scenario or an invalid `--set` override.
 int run_scenario_cli(std::string_view name, ScenarioOptions& opts,
                      std::ostream& err);
 

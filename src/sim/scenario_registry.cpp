@@ -1,5 +1,6 @@
 #include "sim/scenario.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <charconv>
 #include <cmath>
@@ -8,11 +9,10 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <sstream>
 #include <string>
 
 namespace tfmcc {
-
-namespace {
 
 bool parse_f64(std::string_view text, double& out) {
   // std::from_chars for double is flaky across stdlibs; strtod is enough here.
@@ -21,6 +21,20 @@ bool parse_f64(std::string_view text, double& out) {
   out = std::strtod(buf.c_str(), &end);
   return end == buf.c_str() + buf.size() && !buf.empty();
 }
+
+bool parse_i64(std::string_view text, std::int64_t& out) {
+  auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
+  if (ec == std::errc{} && p == text.data() + text.size()) return true;
+  double d = 0;
+  if (!parse_f64(text, d) || !std::isfinite(d) || std::fabs(d) > 9.0e18 ||
+      d != std::floor(d)) {
+    return false;
+  }
+  out = static_cast<std::int64_t>(d);
+  return true;
+}
+
+namespace {
 
 bool parse_u64(std::string_view text, std::uint64_t& out) {
   auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
@@ -33,18 +47,6 @@ bool parse_u64(std::string_view text, std::uint64_t& out) {
     return false;
   }
   out = static_cast<std::uint64_t>(d);
-  return true;
-}
-
-bool parse_i64(std::string_view text, std::int64_t& out) {
-  auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  if (ec == std::errc{} && p == text.data() + text.size()) return true;
-  double d = 0;
-  if (!parse_f64(text, d) || !std::isfinite(d) || std::fabs(d) > 9.0e18 ||
-      d != std::floor(d)) {
-    return false;
-  }
-  out = static_cast<std::int64_t>(d);
   return true;
 }
 
@@ -175,32 +177,33 @@ void ScenarioOptions::check_declared(std::string_view name) const {
   assert(false && "param_or: parameter not in the scenario's ParamSpec list");
 }
 
+const std::string* ScenarioOptions::find_param(std::string_view name) const {
+  check_declared(name);
+  auto it = params_.find(name);
+  return it == params_.end() ? nullptr : &it->second;
+}
+
 template <>
 std::string ScenarioOptions::param_or<std::string>(std::string_view name,
                                                    std::string dflt) const {
-  check_declared(name);
-  auto it = params_.find(name);
-  return it == params_.end() ? dflt : it->second;
+  const std::string* v = find_param(name);
+  return v == nullptr ? dflt : *v;
 }
 
 template <>
 double ScenarioOptions::param_or<double>(std::string_view name,
                                          double dflt) const {
-  check_declared(name);
-  auto it = params_.find(name);
-  if (it == params_.end()) return dflt;
-  double v = 0;
-  return parse_f64(it->second, v) && std::isfinite(v) ? v : dflt;
+  const std::string* v = find_param(name);
+  double d = 0;
+  return v != nullptr && parse_f64(*v, d) && std::isfinite(d) ? d : dflt;
 }
 
 template <>
 std::int64_t ScenarioOptions::param_or<std::int64_t>(std::string_view name,
                                                      std::int64_t dflt) const {
-  check_declared(name);
-  auto it = params_.find(name);
-  if (it == params_.end()) return dflt;
-  std::int64_t v = 0;
-  return parse_i64(it->second, v) ? v : dflt;
+  const std::string* v = find_param(name);
+  std::int64_t i = 0;
+  return v != nullptr && parse_i64(*v, i) ? i : dflt;
 }
 
 template <>
@@ -217,20 +220,16 @@ int ScenarioOptions::param_or<int>(std::string_view name, int dflt) const {
 template <>
 std::uint64_t ScenarioOptions::param_or<std::uint64_t>(
     std::string_view name, std::uint64_t dflt) const {
-  check_declared(name);
-  auto it = params_.find(name);
-  if (it == params_.end()) return dflt;
-  std::uint64_t v = 0;
-  return parse_u64(it->second, v) ? v : dflt;
+  const std::string* v = find_param(name);
+  std::uint64_t u = 0;
+  return v != nullptr && parse_u64(*v, u) ? u : dflt;
 }
 
 template <>
 bool ScenarioOptions::param_or<bool>(std::string_view name, bool dflt) const {
-  check_declared(name);
-  auto it = params_.find(name);
-  if (it == params_.end()) return dflt;
-  bool v = false;
-  return parse_bool(it->second, v) ? v : dflt;
+  const std::string* v = find_param(name);
+  bool b = false;
+  return v != nullptr && parse_bool(*v, b) ? b : dflt;
 }
 
 std::uint64_t derive_replicate_seed(std::uint64_t base, std::uint64_t rep) {
@@ -307,6 +306,16 @@ const Scenario* ScenarioRegistry::find(std::string_view name) const {
   return it == scenarios_.end() ? nullptr : &it->second;
 }
 
+const Scenario* ScenarioRegistry::find_or_diagnose(std::string_view name,
+                                                   std::ostream& err) const {
+  const Scenario* s = find(name);
+  if (s == nullptr) {
+    err << "error: unknown scenario '" << name << "'\nknown scenarios:\n";
+    for (const auto& n : names()) err << "  " << n << '\n';
+  }
+  return s;
+}
+
 std::vector<std::string> ScenarioRegistry::names() const {
   std::vector<std::string> out;
   out.reserve(scenarios_.size());
@@ -316,13 +325,8 @@ std::vector<std::string> ScenarioRegistry::names() const {
 
 int ScenarioRegistry::run(std::string_view name, const ScenarioOptions& opts,
                           std::ostream& err) const {
-  const Scenario* s = find(name);
-  if (s == nullptr) {
-    err << "error: unknown scenario '" << name << "'\nknown scenarios:\n";
-    for (const auto& n : names()) err << "  " << n << '\n';
-    return -1;
-  }
-  if (!validate_scenario_params(*s, opts, err)) return -1;
+  const Scenario* s = find_or_diagnose(name, err);
+  if (s == nullptr || !validate_scenario_params(*s, opts, err)) return -1;
   // Bind the declared ParamSpecs to a copy of the options so param_or()
   // reads inside the scenario are checked against them (see check_declared).
   ScenarioOptions bound = opts;
@@ -330,92 +334,141 @@ int ScenarioRegistry::run(std::string_view name, const ScenarioOptions& opts,
   return s->fn(bound);
 }
 
-bool parse_scenario_options(int argc, char** argv, ScenarioOptions& opts,
-                            std::ostream& err) {
+Flag int_flag(std::string_view name, int& to, std::int64_t lo,
+              std::int64_t hi) {
+  return {name, "N",
+          "an integer between " + std::to_string(lo) + " and " +
+              std::to_string(hi),
+          [&to, lo, hi](std::string_view v, std::ostream&) {
+            std::int64_t n = 0;
+            if (!parse_i64(v, n) || n < lo || n > hi) return false;
+            to = static_cast<int>(n);
+            return true;
+          }};
+}
+
+Flag seconds_flag(std::string_view name, double& to) {
+  return {name, "S", "seconds in (0, 1e6]",
+          [&to](std::string_view v, std::ostream&) {
+            double s = 0;
+            if (!parse_f64(v, s) || !(s > 0.0) || s > 1e6) return false;
+            to = s;
+            return true;
+          }};
+}
+
+bool parse_flags(int argc, char** argv, const FlagTable& table,
+                 std::ostream& err, std::vector<std::string>* operands,
+                 std::vector<std::string>* forwarded) {
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--duration") {
-      // The upper bound keeps the seconds-to-SimTime conversion inside
-      // int64 nanoseconds (~292 years); it also rejects inf.
-      constexpr double kMaxSeconds = 9.0e9;
-      double secs = 0;
-      if (!has_value || !parse_f64(argv[i + 1], secs) ||
-          !std::isfinite(secs) || secs <= 0 || secs > kMaxSeconds) {
-        err << "error: --duration expects a positive number of seconds\n";
-        return false;
+    const auto flag =
+        std::find_if(table.begin(), table.end(),
+                     [&](const Flag& f) { return f.name == arg; });
+    if (flag == table.end()) {
+      if (operands != nullptr && arg.substr(0, 2) != "--") {
+        operands->emplace_back(arg);
+        continue;
       }
-      opts.duration = SimTime::seconds(secs);
-      ++i;
-    } else if (arg == "--seed") {
-      std::uint64_t seed = 0;
-      if (!has_value || !parse_u64(argv[i + 1], seed)) {
-        err << "error: --seed expects a non-negative integer\n";
-        return false;
-      }
-      opts.seed = seed;
-      ++i;
-    } else if (arg == "--output") {
-      if (!has_value || argv[i + 1][0] == '\0') {
-        err << "error: --output expects a file path\n";
-        return false;
-      }
-      opts.output_path = argv[i + 1];
-      ++i;
-    } else if (arg == "--set") {
-      const std::string_view kv = has_value ? std::string_view{argv[i + 1]}
-                                            : std::string_view{};
-      const std::size_t eq = kv.find('=');
-      if (!has_value || eq == std::string_view::npos || eq == 0) {
-        err << "error: --set expects key=value\n";
-        return false;
-      }
-      opts.set_param(std::string{kv.substr(0, eq)},
-                     std::string{kv.substr(eq + 1)});
-      ++i;
-    } else {
-      err << "error: unknown option '" << arg
-          << "' (expected --duration <s>, --seed <n>, --set key=value or "
-             "--output <path>)\n";
+      err << "error: unknown option '" << arg << "' (expected"
+          << flag_usage(table) << ")\n";
       return false;
     }
+    if (!flag->set) {
+      err << "error: " << arg << ' ' << flag->expects << '\n';
+      return false;
+    }
+    const bool takes_value = !flag->meta.empty();
+    std::ostringstream why;
+    if ((takes_value && i + 1 == argc) ||
+        !flag->set(takes_value ? argv[i + 1] : "", why)) {
+      // A setter's own diagnostic replaces the generic one.
+      err << (why.str().empty()
+                  ? "error: " + std::string{arg} + " expects " +
+                        flag->expects + '\n'
+                  : why.str());
+      return false;
+    }
+    if (forwarded != nullptr && flag->forward) {
+      forwarded->emplace_back(arg);
+      if (takes_value) forwarded->emplace_back(argv[i + 1]);
+    }
+    if (takes_value) ++i;
   }
   return true;
 }
 
-bool open_output_file(const std::string& path, std::ofstream& file,
-                      std::ostream& err) {
-  file.open(path);
-  if (!file) {
-    err << "error: cannot open output file '" << path << "'\n";
-    return false;
+std::string flag_usage(const FlagTable& table) {
+  std::string usage;
+  for (const Flag& f : table) {
+    if (!f.set) continue;  // refused flags are not part of the usage
+    usage += " [" + std::string{f.name};
+    if (!f.meta.empty()) usage += " " + std::string{f.meta};
+    usage += f.repeats ? "]..." : "]";
   }
-  return true;
+  return usage;
 }
 
-bool finish_output_file(const std::string& path, std::ofstream& file,
-                        std::ostream& err) {
-  file.flush();
+FlagTable scenario_flags(ScenarioOptions& opts) {
+  return {
+      {"--duration", "<s>", "a positive number of seconds",
+       [&opts](std::string_view v, std::ostream&) {
+         // The upper bound keeps the seconds-to-SimTime conversion inside
+         // int64 nanoseconds (~292 years); it also rejects inf and nan.
+         double secs = 0;
+         if (!parse_f64(v, secs) || !(secs > 0 && secs <= 9.0e9)) return false;
+         opts.duration = SimTime::seconds(secs);
+         return true;
+       },
+       false, true},
+      {"--seed", "<n>", "a non-negative integer",
+       [&opts](std::string_view v, std::ostream&) {
+         std::uint64_t seed = 0;
+         if (!parse_u64(v, seed)) return false;
+         opts.seed = seed;
+         return true;
+       },
+       false, true},
+      {"--set", "key=value", "key=value",
+       [&opts](std::string_view kv, std::ostream&) {
+         const std::size_t eq = kv.find('=');
+         if (eq == std::string_view::npos || eq == 0) return false;
+         opts.set_param(std::string{kv.substr(0, eq)},
+                        std::string{kv.substr(eq + 1)});
+         return true;
+       },
+       true, true},
+      path_flag("--output", opts.output_path),
+  };
+}
+
+bool parse_scenario_options(int argc, char** argv, ScenarioOptions& opts,
+                            std::ostream& err) {
+  return parse_flags(argc, argv, scenario_flags(opts), err);
+}
+
+int write_output(const std::optional<std::string>& path, std::ostream& err,
+                 const std::function<int(std::ostream&)>& body) {
+  if (!path.has_value()) return body(std::cout);
+  std::ofstream file{*path};
   if (!file) {
-    err << "error: writing output file '" << path << "' failed\n";
-    return false;
+    err << "error: cannot open output file '" << *path << "'\n";
+    return 2;
   }
-  return true;
+  const int rc = body(file);
+  if (!file.flush()) {
+    err << "error: writing output file '" << *path << "' failed\n";
+    return 2;
+  }
+  return rc;
 }
 
 int run_scenario_cli(std::string_view name, ScenarioOptions& opts,
                      std::ostream& err) {
-  std::ofstream file;
-  if (opts.output_path.has_value()) {
-    if (!open_output_file(*opts.output_path, file, err)) return -1;
-    opts.set_output(file);
-  }
-  const int rc = ScenarioRegistry::instance().run(name, opts, err);
-  if (file.is_open() &&
-      !finish_output_file(*opts.output_path, file, err)) {
-    return -1;
-  }
-  return rc;
+  return write_output(opts.output_path, err, [&](std::ostream& os) {
+    opts.set_output(os);
+    return ScenarioRegistry::instance().run(name, opts, err);
+  });
 }
 
 }  // namespace tfmcc

@@ -5,17 +5,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "sim/sweep_state.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
 #include <unistd.h>
 #endif
 
@@ -42,16 +40,14 @@ std::string format_value(double v, bool integral) {
   return buf;
 }
 
-/// Splits `text` on `sep`, keeping empty fields so "1,,2" is diagnosable.
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t sep_at = text.find(sep, start);
-    parts.push_back(text.substr(start, sep_at - start));
-    if (sep_at == std::string_view::npos) return parts;
-    start = sep_at + 1;
+/// The base options with one grid point's axis values applied.
+ScenarioOptions point_options(const SweepOptions& sweep,
+                              const std::vector<std::string>& point) {
+  ScenarioOptions opts = sweep.base;
+  for (std::size_t a = 0; a < sweep.axes.size(); ++a) {
+    opts.set_param(sweep.axes[a].key, point[a]);
   }
+  return opts;
 }
 
 struct PointResult {
@@ -175,37 +171,31 @@ bool parse_sweep_axis(std::string_view text, const ParamSpec* spec,
   const std::string_view body = text.substr(eq + 1);
 
   if (body.find(':') == std::string_view::npos) {
-    for (std::string_view v : split(body, ',')) {
+    // split_csv keeps empty fields, so "1,,2" is diagnosable.
+    for (std::string& v : summary::split_csv(body)) {
       if (v.empty()) {
         err << "error: empty value in --sweep list '" << text << "'\n";
         return false;
       }
-      axis.values.emplace_back(v);
+      axis.values.push_back(std::move(v));
     }
     return true;
   }
 
-  const auto parts = split(body, ':');
+  // A range is exactly lo:hi:stepN.  Read as commas, its colons split it
+  // into three parts; a stray comma makes a fourth and fails the parse.
+  std::string range{body};
+  std::replace(range.begin(), range.end(), ':', ',');
+  const auto parts = summary::split_csv(range);
   double lo = 0, hi = 0;
-  std::string_view kind;
-  std::uint64_t n_points = 0;
-  // summary::parse_number rejects non-finite values, unlike
-  // scenario_registry's parse_f64: an inf/nan sweep bound can never expand
-  // to a usable range.
-  bool ok = parts.size() == 3 && summary::parse_number(parts[0], lo) &&
-            summary::parse_number(parts[1], hi);
-  if (ok) {
-    const std::string_view step = parts[2];
-    kind = step.substr(0, 3);
-    ok = (kind == "lin" || kind == "log") && step.size() > 3;
-    if (ok) {
-      const std::string count{step.substr(3)};
-      char* end = nullptr;
-      n_points = std::strtoull(count.c_str(), &end, 10);
-      ok = end == count.c_str() + count.size();
-    }
-  }
-  if (!ok) {
+  const std::string kind = parts.size() == 3 ? parts[2].substr(0, 3) : "";
+  std::int64_t n_points = 0;
+  // summary::parse_number rejects non-finite values, unlike parse_f64: an
+  // inf/nan sweep bound can never expand to a usable range.
+  if (parts.size() != 3 || !summary::parse_number(parts[0], lo) ||
+      !summary::parse_number(parts[1], hi) ||
+      (kind != "lin" && kind != "log") ||
+      !parse_i64(std::string_view{parts[2]}.substr(3), n_points)) {
     err << "error: malformed --sweep range '" << text
         << "' (expected key=lo:hi:linN or key=lo:hi:logN)\n";
     return false;
@@ -225,7 +215,7 @@ bool parse_sweep_axis(std::string_view text, const ParamSpec* spec,
       spec != nullptr &&
       (spec->type == ParamType::kInt64 || spec->type == ParamType::kUint64);
   const double steps = static_cast<double>(n_points - 1);
-  for (std::uint64_t i = 0; i < n_points; ++i) {
+  for (std::int64_t i = 0; i < n_points; ++i) {
     double v;
     if (i == n_points - 1) {
       v = hi;  // land exactly on the bound, no accumulated rounding
@@ -313,156 +303,274 @@ void request_sweep_interrupt() {
   g_sweep_interrupt.store(true, std::memory_order_relaxed);
 }
 
-int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
-              std::ostream& out, std::ostream& err) {
+bool plan_sweep(const Scenario& scenario, const SweepOptions& sweep,
+                SweepPlan& plan, std::ostream& err) {
+  auto fail = [&err](const std::string& why) {
+    err << "error: " << why << '\n';
+    return false;
+  };
   if (sweep.axes.empty()) {
-    err << "error: sweep needs at least one --sweep key=... axis\n";
-    return 2;
+    return fail("sweep needs at least one --sweep key=... axis");
   }
   std::size_t n_points = 1;
   for (std::size_t a = 0; a < sweep.axes.size(); ++a) {
     const SweepAxis& axis = sweep.axes[a];
     if (axis.values.empty()) {
-      err << "error: --sweep axis '" << axis.key << "' has no values\n";
-      return 2;
+      return fail("--sweep axis '" + axis.key + "' has no values");
     }
     for (std::size_t b = 0; b < a; ++b) {
+      // A second axis for the same key would silently lose: set_param is
+      // last-write-wins, so the first axis' column would mislabel what ran.
       if (sweep.axes[b].key == axis.key) {
-        // A second axis for the same key would silently lose: set_param is
-        // last-write-wins, so the first axis' column would mislabel what ran.
-        err << "error: duplicate --sweep axis for key '" << axis.key
-            << "' (combine the values into one axis)\n";
-        return 2;
+        return fail("duplicate --sweep axis for key '" + axis.key +
+                    "' (combine the values into one axis)");
       }
     }
-    // Cap the grid product, not just each axis: every point's full output
-    // is buffered until aggregation.
+    // Cap the product before expanding it: three 1e6-value axes are each
+    // legal on their own.
     if (axis.values.size() > kMaxGridPoints / n_points) {
-      err << "error: sweep grid exceeds " << kMaxGridPoints << " points\n";
-      return 2;
+      return fail("sweep grid exceeds " + std::to_string(kMaxGridPoints) +
+                  " points");
     }
     n_points *= axis.values.size();
   }
-  const int n_rep = sweep.replicate;
-  if (n_rep < 1) {
-    err << "error: --replicate must be at least 1\n";
-    return 2;
-  }
-  if (static_cast<std::size_t>(n_rep) > kMaxGridPoints / n_points) {
-    err << "error: sweep grid times --replicate exceeds " << kMaxGridPoints
-        << " runs\n";
-    return 2;
+  const auto n_rep = static_cast<std::size_t>(sweep.replicate);
+  if (sweep.replicate < 1) return fail("--replicate must be at least 1");
+  if (n_rep > kMaxGridPoints / n_points) {
+    return fail("sweep grid times --replicate exceeds " +
+                std::to_string(kMaxGridPoints) + " runs");
   }
   if (n_rep > 1 && sweep.stats.empty()) {
-    err << "error: --replicate needs at least one statistic\n";
-    return 2;
+    return fail("--replicate needs at least one statistic");
   }
   if (sweep.shard_count < 1 || sweep.shard_index < 0 ||
       sweep.shard_index >= sweep.shard_count) {
-    err << "error: shard index " << sweep.shard_index
-        << " is out of range for " << sweep.shard_count
-        << " shard(s) (need 0 <= i < n)\n";
-    return 2;
+    return fail("shard index " + std::to_string(sweep.shard_index) +
+                " is out of range for " + std::to_string(sweep.shard_count) +
+                " shard(s) (need 0 <= i < n)");
   }
   if (sweep.checkpoint_every < 1) {
-    err << "error: --checkpoint-every must be at least 1\n";
-    return 2;
+    return fail("--checkpoint-every must be at least 1");
   }
   if (sweep.max_point_failures < 0) {
-    err << "error: --max-point-failures must be non-negative\n";
-    return 2;
+    return fail("--max-point-failures must be non-negative");
   }
-  g_sweep_interrupt.store(false, std::memory_order_relaxed);
-  const auto grid = expand_grid(sweep.axes);
-
+  plan.manifest = SweepManifest::from(scenario, sweep);
+  plan.grid = expand_grid(sweep.axes);
   // Validate every point before running anything, so a bad axis value is
   // one clean diagnostic instead of a mid-sweep failure.
-  auto point_options = [&](const std::vector<std::string>& point) {
-    ScenarioOptions opts = sweep.base;
-    for (std::size_t a = 0; a < sweep.axes.size(); ++a) {
-      opts.set_param(sweep.axes[a].key, point[a]);
-    }
-    return opts;
-  };
-  for (const auto& point : grid) {
-    if (!validate_scenario_params(scenario, point_options(point), err)) {
+  for (const auto& point : plan.grid) {
+    if (!validate_scenario_params(scenario, point_options(sweep, point),
+                                  err)) {
       err << "  (sweep point " << point_label(sweep.axes, point) << ")\n";
-      return 2;
+      return false;
     }
   }
-
-  // Run this shard's slice of the grid (times replicates) on a fixed-size
-  // pool.  One task is one scenario run; task t is replicate t % n_rep of
-  // grid point t / n_rep, and the shard owns the task iff it owns the
-  // point.  Completed tasks stream: whenever the next *owned task in task
-  // order* has completed, its trace is folded into its grid point's
-  // accumulator and the capture released, so the accumulators see rows in
-  // exactly the order a serial unsharded sweep would feed them —
-  // byte-identical output, independent of completion order and of the
-  // cost-ordered scheduling below — while peak memory holds only the
-  // in-flight window.
-  const SweepManifest manifest = SweepManifest::from(scenario, sweep);
-  const std::size_t n_tasks = grid.size() * static_cast<std::size_t>(n_rep);
-  std::vector<double> point_cost(grid.size());
-  for (std::size_t p = 0; p < grid.size(); ++p) {
-    point_cost[p] = sweep_point_cost(grid[p]);
+  for (std::size_t t = 0; t < n_points * n_rep; ++t) {
+    if (shard_owns_point(plan.manifest, plan.point_of(t))) {
+      plan.owned_tasks.push_back(t);
+    }
   }
-  auto task_point = [n_rep](std::size_t t) {
-    return t / static_cast<std::size_t>(n_rep);
-  };
-  std::vector<std::size_t> owned_tasks;
-  for (std::size_t t = 0; t < n_tasks; ++t) {
-    if (shard_owns_point(manifest, task_point(t))) owned_tasks.push_back(t);
-  }
+  return true;
+}
 
-  // Fold state (guarded by fold_mu once workers start).
-  std::vector<char> folded(n_tasks, 0);
+namespace {
+
+/// One run_sweep after planning: resume restores a checkpoint, execute runs
+/// the pending tasks and folds their output (the fold state is guarded by
+/// its fold mutex while workers run), emit reports and writes the result.
+struct SweepRun {
+  SweepRun(const SweepOptions& s, const SweepPlan& p)
+      : sweep{s},
+        plan{p},
+        folded(p.manifest.n_tasks(), 0),
+        point_failed(p.grid.size(), 0) {}
+
+  const SweepOptions& sweep;
+  const SweepPlan& plan;
+  /// folded[t] != 0 once task t's output is in its point's accumulator.
+  std::vector<char> folded;
   std::string header;
   std::vector<summary::ColumnSummary> per_point;
-  // Monotone across resumes: every checkpoint write bumps it, so a
-  // supervisor polling read_checkpoint_progress sees strictly increasing
-  // heartbeats from a live shard even when no new task folded.
-  std::uint64_t heartbeat = 0;
+  /// Monotone across resumes: every checkpoint write bumps it, so a
+  /// supervisor polling read_checkpoint_progress sees strictly increasing
+  /// heartbeats from a live shard even when no new task folded.
+  std::uint64_t heartbeat{0};
+  std::size_t fold_cursor{0};  // index into plan.owned_tasks
+  std::size_t folds_since_ckpt{0};
+  /// Point-granularity failure tolerance: one failed replicate fails its
+  /// whole grid point (the point's statistics would be over a different
+  /// replicate set than its neighbours').  Within --max-point-failures the
+  /// sweep keeps running and masks the failed points out of the aggregate.
+  std::vector<char> point_failed;
+  int n_failed_points{0};
+  bool any_failed{false};
+  bool merge_failed{false};
+  bool checkpoint_failed{false};
+  /// Diagnostics produced mid-sweep are buffered and replayed after the
+  /// progress line finishes: run failures separately from the first merge
+  /// error (reported only when every run succeeded), checkpoint-write
+  /// failures last.
+  std::ostringstream failure_log;
+  std::ostringstream merge_log;
+  std::ostringstream ckpt_log;
 
-  if (!sweep.resume_path.empty()) {
-    SweepStateFile ckpt;
-    if (!load_state_file(sweep.resume_path, ckpt, err)) return 2;
-    if (ckpt.kind != SweepStateFile::Kind::kCheckpoint) {
-      err << "error: '" << sweep.resume_path
-          << "' is a shard partial, not a checkpoint (merge it with "
-             "`tfmcc_sim merge` instead)\n";
-      return 2;
+  bool resume(std::ostream& err);
+  void execute(const Scenario& scenario, std::ostream& err);
+  int emit(std::ostream& out, std::ostream& err);
+  void fold_task(std::size_t t, PointResult& res);
+  void checkpoint(bool force);
+  SweepStateFile snapshot(SweepStateFile::Kind kind) const;
+};
+
+/// Restores the fold state from the `--resume` checkpoint, if one is given.
+bool SweepRun::resume(std::ostream& err) {
+  if (sweep.resume_path.empty()) return true;
+  SweepStateFile ckpt;
+  if (!load_state_file(sweep.resume_path, ckpt, err,
+                       SweepStateFile::Kind::kCheckpoint) ||
+      !ckpt.manifest.matches(plan.manifest, /*ignore_shard_index=*/false,
+                             "checkpoint '" + sweep.resume_path + "'", err)) {
+    return false;
+  }
+  if (ckpt.header.empty() && !ckpt.points.empty()) {
+    err << "error: cannot load '" << sweep.resume_path
+        << "': point state without a CSV header\n";
+    return false;
+  }
+  folded = std::move(ckpt.folded);
+  header = std::move(ckpt.header);
+  heartbeat = ckpt.heartbeat;
+  if (!header.empty()) {
+    per_point.assign(plan.grid.size(),
+                     summary::ColumnSummary{summary::split_csv(header)});
+    for (auto& [idx, state] : ckpt.points) per_point[idx] = std::move(state);
+  }
+  return true;
+}
+
+/// Folds one completed task (caller holds the fold mutex; called in task
+/// order) and releases its capture.
+void SweepRun::fold_task(std::size_t t, PointResult& res) {
+  const std::size_t p = plan.point_of(t);
+  const int n_rep = sweep.replicate;
+  const int max_pf = sweep.max_point_failures;
+  RunOutput output = std::move(res.output);
+  auto where = [&] {
+    return point_label(sweep.axes, plan.grid[p]) +
+           replicate_label(sweep, t % static_cast<std::size_t>(n_rep), n_rep);
+  };
+  if (res.rc != 0) {
+    failure_log << "error: sweep point " << where() << " failed";
+    if (!res.error.empty()) {
+      failure_log << " with exception: " << res.error << '\n';
+    } else {
+      failure_log << " (exit code " << res.rc << ")\n";
     }
-    if (!ckpt.manifest.matches(manifest, /*ignore_shard_index=*/false,
-                               "checkpoint '" + sweep.resume_path + "'",
-                               err)) {
-      return 2;
+    any_failed = true;
+    if (point_failed[p] == 0) {
+      point_failed[p] = 1;
+      ++n_failed_points;
     }
-    if (ckpt.header.empty() && !ckpt.points.empty()) {
-      err << "error: cannot load '" << sweep.resume_path
-          << "': point state without a CSV header\n";
-      return 2;
-    }
-    folded = std::move(ckpt.folded);
-    header = std::move(ckpt.header);
-    heartbeat = ckpt.heartbeat;
-    if (!header.empty()) {
-      per_point.assign(grid.size(),
-                       summary::ColumnSummary{summary::split_csv(header)});
-      for (auto& [idx, state] : ckpt.points) {
-        per_point[idx] = std::move(state);
-      }
+    return;
+  }
+  if (merge_failed || point_failed[p] != 0 || output.header.empty() ||
+      (max_pf == 0 ? any_failed : n_failed_points > max_pf)) {
+    return;
+  }
+  if (header.empty()) {
+    header = output.header;
+    per_point.assign(plan.grid.size(),
+                     summary::ColumnSummary{summary::split_csv(header)});
+  } else if (output.header != header) {
+    merge_log << "error: sweep point " << where() << " emitted CSV header '"
+              << output.header << "' but earlier points emitted '" << header
+              << "'\n";
+    merge_failed = true;
+    return;
+  }
+  for (auto& cells : output.rows) {
+    if (n_rep == 1) {
+      // The raw aggregate passes ragged rows through verbatim.
+      per_point[p].add_row_unchecked(std::move(cells));
+    } else if (!per_point[p].add_row(std::move(cells), merge_log)) {
+      merge_log << "  (sweep point " << where() << ")\n";
+      merge_failed = true;
+      return;
     }
   }
+}
 
+/// Snapshots the fold state to the checkpoint file (caller holds the fold
+/// mutex while workers run).  Checkpoints stop once a failure is recorded:
+/// persisting a failed task as folded would let a resume skip it silently.
+/// `force` bypasses the checkpoint-every gate (but never the failure
+/// disarm) for the interrupt flush.
+void SweepRun::checkpoint(bool force) {
+  if (sweep.checkpoint_path.empty() || checkpoint_failed || any_failed ||
+      merge_failed) {
+    return;
+  }
+  const bool all_done = fold_cursor == plan.owned_tasks.size();
+  if (!force &&
+      folds_since_ckpt < static_cast<std::size_t>(sweep.checkpoint_every) &&
+      !all_done) {
+    return;
+  }
+  folds_since_ckpt = 0;
+  ++heartbeat;
+  const SweepStateFile ck = snapshot(SweepStateFile::Kind::kCheckpoint);
+  if (!save_state_file_atomic(ck, sweep.checkpoint_path, ckpt_log)) {
+    checkpoint_failed = true;
+  }
+}
+
+/// The checkpoint or shard partial of the fold so far: the state of every
+/// owned point with rows.  Failed (masked) points are left out entirely —
+/// their accumulators may hold a partial replicate set.
+SweepStateFile SweepRun::snapshot(SweepStateFile::Kind kind) const {
+  SweepStateFile state;
+  state.kind = kind;
+  state.manifest = plan.manifest;
+  state.header = header;
+  if (kind == SweepStateFile::Kind::kCheckpoint) {
+    state.heartbeat = heartbeat;
+    state.folded = folded;
+  }
+  for (std::size_t p = 0; p < plan.grid.size(); ++p) {
+    if (shard_owns_point(plan.manifest, p) && point_failed[p] == 0 &&
+        !per_point.empty() && per_point[p].row_count() > 0) {
+      state.points.emplace_back(p, per_point[p]);
+    }
+  }
+  return state;
+}
+
+/// Runs the shard's pending tasks on a fixed-size pool of `jobs`
+/// workers.  One task is one scenario run.  Completed tasks stream:
+/// whenever the next owned task *in task order* has completed, it is folded
+/// into its grid point's accumulator and its capture released, so the
+/// accumulators see rows in exactly the order a serial unsharded sweep
+/// would feed them — byte-identical output, independent of completion
+/// order and of the cost-ordered scheduling below — while peak memory holds
+/// only the in-flight window.
+void SweepRun::execute(const Scenario& scenario, std::ostream& err) {
+  std::vector<double> point_cost(plan.grid.size());
+  for (std::size_t p = 0; p < plan.grid.size(); ++p) {
+    point_cost[p] = sweep_point_cost(plan.grid[p]);
+  }
   std::size_t restored = 0;
   double restored_weight = 0.0;
   double owned_weight = 0.0;
-  for (std::size_t t : owned_tasks) {
-    owned_weight += point_cost[task_point(t)];
+  std::vector<std::size_t> schedule;
+  for (std::size_t t : plan.owned_tasks) {
+    const double w = point_cost[plan.point_of(t)];
+    owned_weight += w;
     if (folded[t] != 0) {
       ++restored;
-      restored_weight += point_cost[task_point(t)];
+      restored_weight += w;
+    } else {
+      schedule.push_back(t);
     }
   }
 
@@ -474,10 +582,6 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   // every fold hostage to the cheapest task it scheduled last.  This
   // permutes only which worker picks what, never the fold order, so output
   // bytes are unaffected.
-  std::vector<std::size_t> schedule;
-  for (std::size_t t : owned_tasks) {
-    if (folded[t] == 0) schedule.push_back(t);
-  }
   const std::size_t window = std::max<std::size_t>(
       8, 4 * static_cast<std::size_t>(std::max(sweep.jobs, 1)));
   for (std::size_t b = 0; b < schedule.size(); b += window) {
@@ -486,134 +590,26 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
         schedule.begin() +
         static_cast<std::ptrdiff_t>(std::min(b + window, schedule.size()));
     std::stable_sort(first, last, [&](std::size_t a, std::size_t c) {
-      return point_cost[task_point(a)] > point_cost[task_point(c)];
+      return point_cost[plan.point_of(a)] > point_cost[plan.point_of(c)];
     });
   }
 
-  std::string progress_label = "sweep";
-  if (sweep.shard_count > 1) {
-    progress_label += " shard " + std::to_string(sweep.shard_index) + "/" +
-                      std::to_string(sweep.shard_count);
-  }
+  const std::string progress_label =
+      sweep.shard_count == 1
+          ? "sweep"
+          : "sweep shard " + std::to_string(sweep.shard_index) + "/" +
+                std::to_string(sweep.shard_count);
   const bool err_is_stderr_tty = &err == &std::cerr && stderr_is_tty();
-  ProgressReporter progress(std::move(progress_label), owned_tasks.size(),
-                            owned_weight, restored, restored_weight,
+  ProgressReporter progress(progress_label,
+                            plan.owned_tasks.size(), owned_weight, restored,
+                            restored_weight,
                             sweep.progress || err_is_stderr_tty,
                             err_is_stderr_tty, err);
 
-  // Diagnostics produced mid-sweep are buffered and replayed after the
-  // progress line finishes: run failures separately from the first merge
-  // error (reported only when every run succeeded), checkpoint-write
-  // failures last.
-  std::vector<PointResult> results(n_tasks);
+  std::vector<PointResult> results(folded.size());
+  std::vector<char> task_ready(results.size(), 0);
   std::atomic<std::size_t> next_slot{0};
   std::mutex fold_mu;
-  std::vector<char> task_ready(n_tasks, 0);
-  std::size_t fold_cursor = 0;  // index into owned_tasks
-  std::size_t folds_since_ckpt = 0;
-  std::ostringstream failure_log;
-  std::ostringstream merge_log;
-  std::ostringstream ckpt_log;
-  bool any_failed = false;
-  bool merge_failed = false;
-  bool checkpoint_failed = false;
-  // Point-granularity failure tolerance: one failed replicate fails its
-  // whole grid point (the point's statistics would be over a different
-  // replicate set than its neighbours').  Within --max-point-failures the
-  // sweep keeps running and masks the failed points out of the aggregate.
-  const int max_pf = sweep.max_point_failures;
-  std::vector<char> point_failed(grid.size(), 0);
-  int n_failed_points = 0;
-
-  // Folds one completed task (caller holds fold_mu; called in task order).
-  auto fold_task = [&](std::size_t t) {
-    PointResult& res = results[t];
-    const auto& point = grid[task_point(t)];
-    const std::uint64_t rep = t % static_cast<std::size_t>(n_rep);
-    if (res.rc != 0) {
-      failure_log << "error: sweep point " << point_label(sweep.axes, point)
-                  << replicate_label(sweep, rep, n_rep) << " failed";
-      if (!res.error.empty()) {
-        failure_log << " with exception: " << res.error;
-      } else {
-        failure_log << " (exit code " << res.rc << ")";
-      }
-      failure_log << '\n';
-      any_failed = true;
-      if (point_failed[task_point(t)] == 0) {
-        point_failed[task_point(t)] = 1;
-        ++n_failed_points;
-      }
-    } else if (!merge_failed && point_failed[task_point(t)] == 0 &&
-               (max_pf == 0 ? !any_failed : n_failed_points <= max_pf)) {
-      const std::string& line = res.output.header;
-      if (!line.empty()) {
-        if (header.empty()) {
-          header = line;
-          per_point.assign(grid.size(),
-                           summary::ColumnSummary{summary::split_csv(header)});
-        } else if (line != header) {
-          merge_log << "error: sweep point " << point_label(sweep.axes, point)
-                    << replicate_label(sweep, rep, n_rep)
-                    << " emitted CSV header '" << line
-                    << "' but earlier points emitted '" << header << "'\n";
-          merge_failed = true;
-        }
-        if (!merge_failed) {
-          auto& acc = per_point[task_point(t)];
-          for (auto& cells : res.output.rows) {
-            if (n_rep == 1) {
-              // The raw aggregate passes ragged rows through verbatim.
-              acc.add_row_unchecked(std::move(cells));
-            } else if (!acc.add_row(std::move(cells), merge_log)) {
-              merge_log << "  (sweep point " << point_label(sweep.axes, point)
-                        << replicate_label(sweep, rep, n_rep) << ")\n";
-              merge_failed = true;
-              break;
-            }
-          }
-        }
-      }
-    }
-    // Folded (or unusable): release the capture.
-    res.output = RunOutput{};
-  };
-
-  // Snapshot the fold state to the checkpoint file (caller holds fold_mu).
-  // Checkpoints stop once a failure is recorded: persisting a failed task
-  // as folded would let a resume skip it silently.  `force` bypasses the
-  // checkpoint-every gate (but never the failure disarm) for the
-  // interrupt-flush path.
-  auto write_checkpoint = [&](bool force) {
-    if (sweep.checkpoint_path.empty() || checkpoint_failed || any_failed ||
-        merge_failed) {
-      return;
-    }
-    const bool all_done = fold_cursor == owned_tasks.size();
-    if (!force &&
-        folds_since_ckpt <
-            static_cast<std::size_t>(sweep.checkpoint_every) &&
-        !all_done) {
-      return;
-    }
-    folds_since_ckpt = 0;
-    SweepStateFile ck;
-    ck.kind = SweepStateFile::Kind::kCheckpoint;
-    ck.manifest = manifest;
-    ck.header = header;
-    ck.heartbeat = ++heartbeat;
-    ck.folded = folded;
-    for (std::size_t p = 0; p < grid.size(); ++p) {
-      if (shard_owns_point(manifest, p) && !per_point.empty() &&
-          per_point[p].row_count() > 0) {
-        ck.points.emplace_back(p, per_point[p]);
-      }
-    }
-    if (!save_state_file_atomic(ck, sweep.checkpoint_path, ckpt_log)) {
-      checkpoint_failed = true;
-    }
-  };
-
   auto worker = [&] {
     for (;;) {
       // An interrupt lets the in-flight run finish (its result still folds
@@ -622,17 +618,18 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       const std::size_t slot = next_slot.fetch_add(1);
       if (slot >= schedule.size()) return;
       const std::size_t t = schedule[slot];
-      const std::uint64_t rep = t % static_cast<std::size_t>(n_rep);
       std::ostringstream sink;
-      ScenarioOptions opts = point_options(grid[task_point(t)]);
+      ScenarioOptions opts = point_options(sweep, plan.grid[plan.point_of(t)]);
       // When replicating, every replicate's seed — including replicate 0 —
       // derives from the same effective base (`--seed`, defaulting to 0),
       // so the replicate set is a pure function of the base seed and does
       // not half-overlap between a bare sweep and `--seed 0`.  A single
       // replicate keeps the base options untouched (seed unset means the
       // scenario default), reproducing a plain sweep byte-for-byte.
-      if (n_rep > 1) {
-        opts.seed = derive_replicate_seed(sweep.base.seed.value_or(0), rep);
+      if (sweep.replicate > 1) {
+        opts.seed = derive_replicate_seed(
+            sweep.base.seed.value_or(0),
+            t % static_cast<std::size_t>(sweep.replicate));
       }
       opts.set_output(sink);
       opts.bind_specs(&scenario.params);
@@ -653,21 +650,21 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       {
         std::lock_guard<std::mutex> lock(fold_mu);
         task_ready[t] = 1;
-        while (fold_cursor < owned_tasks.size()) {
-          const std::size_t next = owned_tasks[fold_cursor];
+        while (fold_cursor < plan.owned_tasks.size()) {
+          const std::size_t next = plan.owned_tasks[fold_cursor];
           if (folded[next] != 0) {  // restored from the checkpoint
             ++fold_cursor;
             continue;
           }
           if (task_ready[next] == 0) break;
-          fold_task(next);
+          fold_task(next, results[next]);
           folded[next] = 1;
           ++fold_cursor;
           ++folds_since_ckpt;
-          write_checkpoint(/*force=*/false);
+          checkpoint(/*force=*/false);
         }
       }
-      progress.task_done(point_cost[task_point(t)]);
+      progress.task_done(point_cost[plan.point_of(t)]);
     }
   };
   const std::size_t n_workers = std::min<std::size_t>(
@@ -681,21 +678,29 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
     for (auto& t : pool) t.join();
   }
   progress.finish();
+  // A fully restored resume folds nothing, so no fold wrote the end-of-sweep
+  // checkpoint: refresh it here (a no-op rewrite).
+  if (schedule.empty() && !g_sweep_interrupt.load(std::memory_order_relaxed)) {
+    fold_cursor = plan.owned_tasks.size();
+    checkpoint(/*force=*/false);
+  }
+}
 
-  const bool interrupted = g_sweep_interrupt.load(std::memory_order_relaxed);
-  const bool tolerated =
-      any_failed && !merge_failed && max_pf > 0 && n_failed_points <= max_pf;
-  if (interrupted) {
+/// Reports interrupts and failures, then writes the shard partial or
+/// the aggregate CSV.  Returns the exit code.
+int SweepRun::emit(std::ostream& out, std::ostream& err) {
+  const int max_pf = sweep.max_point_failures;
+  const bool tolerated = any_failed && !merge_failed &&
+                         max_pf > 0 && n_failed_points <= max_pf;
+  if (g_sweep_interrupt.load(std::memory_order_relaxed)) {
     // Best-effort final flush: capture whatever folded past the last
     // periodic write, so a --resume continues from the interrupt point
     // instead of the last checkpoint-every boundary.
-    if (!sweep.checkpoint_path.empty()) {
-      std::lock_guard<std::mutex> lock(fold_mu);
-      write_checkpoint(/*force=*/true);
-    }
-    err << failure_log.str() << merge_log.str() << ckpt_log.str();
-    if (!sweep.checkpoint_path.empty() && !checkpoint_failed && !any_failed &&
-        !merge_failed) {
+    checkpoint(/*force=*/true);
+    err << failure_log.str() << merge_log.str()
+        << ckpt_log.str();
+    if (!sweep.checkpoint_path.empty() && !checkpoint_failed &&
+        !any_failed && !merge_failed) {
       err << "sweep: interrupted; checkpoint flushed to '"
           << sweep.checkpoint_path << "' (continue with --resume)\n";
     } else {
@@ -720,27 +725,16 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
     err << ckpt_log.str();
     return 2;
   }
-  // A fully-restored resume ran no workers, so the end-of-sweep checkpoint
-  // refresh did not happen in the fold loop; it is a no-op rewrite here.
-  if (!sweep.checkpoint_path.empty() && schedule.empty()) {
-    std::lock_guard<std::mutex> lock(fold_mu);
-    fold_cursor = owned_tasks.size();
-    write_checkpoint(/*force=*/false);
-    if (checkpoint_failed) {
-      err << ckpt_log.str();
-      return 2;
-    }
-  }
   if (tolerated) {
     // Replay every failure and name every masked point, so the degraded
     // aggregate can never be mistaken for a complete one.
     err << failure_log.str();
-    err << "sweep: " << n_failed_points << " of " << grid.size()
+    err << "sweep: " << n_failed_points << " of " << plan.grid.size()
         << " grid point(s) failed (within --max-point-failures " << max_pf
         << "); missing from the aggregate:\n";
-    for (std::size_t p = 0; p < grid.size(); ++p) {
+    for (std::size_t p = 0; p < plan.grid.size(); ++p) {
       if (point_failed[p] != 0) {
-        err << "  " << point_label(sweep.axes, grid[p]) << '\n';
+        err << "  " << point_label(sweep.axes, plan.grid[p]) << '\n';
       }
     }
   }
@@ -748,226 +742,139 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   if (sweep.shard_count > 1) {
     // Shards do not emit CSV: the partial artifact carries each owned
     // point's accumulator bitwise, for `tfmcc_sim merge` to place into the
-    // full grid.  Failed (masked) points are left out entirely — their
-    // accumulators may hold a partial replicate set.
-    SweepStateFile part;
-    part.kind = SweepStateFile::Kind::kPartial;
-    part.manifest = manifest;
-    part.header = header;
-    for (std::size_t p = 0; p < grid.size(); ++p) {
-      if (shard_owns_point(manifest, p) && point_failed[p] == 0 &&
-          !per_point.empty() && per_point[p].row_count() > 0) {
-        part.points.emplace_back(p, std::move(per_point[p]));
-      }
-    }
-    part.save(out);
+    // full grid.
+    snapshot(SweepStateFile::Kind::kPartial).save(out);
     return tolerated ? 1 : 0;
   }
 
   if (per_point.empty()) {
     // No point produced CSV; emit_sweep_aggregate diagnoses via the empty
     // header, but needs the vector shaped to the grid.
-    per_point.assign(grid.size(), summary::ColumnSummary{{}});
+    per_point.assign(plan.grid.size(), summary::ColumnSummary{{}});
   }
-  const int rc =
-      emit_sweep_aggregate(manifest, grid, per_point, header, out, err,
-                           tolerated ? &point_failed : nullptr);
-  if (rc != 0) return rc;
-  return tolerated ? 1 : 0;
+  const int rc = emit_sweep_aggregate(plan.manifest, plan.grid, per_point,
+                                      header, out, err,
+                                      tolerated ? &point_failed : nullptr);
+  return rc != 0 ? rc : tolerated ? 1 : 0;
 }
 
-int sweep_main(int argc, char** argv, std::ostream& err) {
-  if (argc < 1 || std::string_view{argv[0]}.substr(0, 2) == "--") {
-    err << "usage: tfmcc_sim sweep <scenario> --sweep key=v1,v2,... "
-           "[--sweep key=lo:hi:logN]... [--jobs N] [--replicate N] "
-           "[--stats mean,stddev,cov,min,max] [--progress] "
-           "[--shard i/n] [--checkpoint <path>] [--checkpoint-every N] "
-           "[--resume <path>] [--max-point-failures K] "
-           "[--duration <s>] [--seed <n>] [--set key=value]... "
-           "[--output <path>]\n";
-    return 2;
-  }
-  const std::string_view name = argv[0];
-  const Scenario* scenario = ScenarioRegistry::instance().find(name);
-  if (scenario == nullptr) {
-    err << "error: unknown scenario '" << name << "'\nknown scenarios:\n";
-    for (const auto& n : ScenarioRegistry::instance().names()) {
-      err << "  " << n << '\n';
-    }
-    return 2;
-  }
+}  // namespace
 
-  SweepOptions sweep;
+int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
+              std::ostream& out, std::ostream& err) {
+  SweepPlan plan;
+  if (!plan_sweep(scenario, sweep, plan, err)) return 2;
+  g_sweep_interrupt.store(false, std::memory_order_relaxed);
+  SweepRun run{sweep, plan};
+  if (!run.resume(err)) return 2;
+  run.execute(scenario, err);
+  return run.emit(out, err);
+}
+
+const Scenario* parse_sweep_command(std::string_view command, int argc,
+                                    char** argv, FlagTable flags,
+                                    SweepOptions& sweep,
+                                    std::vector<std::string>* forwarded,
+                                    std::ostream& err) {
+  const Scenario* scenario = nullptr;
   bool stats_given = false;
-  std::vector<char*> passthrough;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--sweep") {
-      if (!has_value) {
-        err << "error: --sweep expects key=v1,v2,... or key=lo:hi:linN|logN\n";
-        return 2;
-      }
-      const std::string_view spec_text = argv[i + 1];
-      const std::size_t eq = spec_text.find('=');
-      const ParamSpec* spec =
-          eq == std::string_view::npos
-              ? nullptr
-              : scenario->find_param(spec_text.substr(0, eq));
-      SweepAxis axis;
-      if (!parse_sweep_axis(spec_text, spec, axis, err)) return 2;
-      sweep.axes.push_back(std::move(axis));
-      ++i;
-    } else if (arg == "--jobs") {
-      char* end = nullptr;
-      const long jobs = has_value ? std::strtol(argv[i + 1], &end, 10) : 0;
-      if (!has_value || end == argv[i + 1] || *end != '\0' || jobs < 1 ||
-          jobs > 1024) {
-        err << "error: --jobs expects an integer between 1 and 1024\n";
-        return 2;
-      }
-      sweep.jobs = static_cast<int>(jobs);
-      ++i;
-    } else if (arg == "--replicate") {
-      char* end = nullptr;
-      const long reps = has_value ? std::strtol(argv[i + 1], &end, 10) : 0;
-      if (!has_value || end == argv[i + 1] || *end != '\0' || reps < 1 ||
-          reps > 100'000) {
-        err << "error: --replicate expects an integer between 1 and 1e5\n";
-        return 2;
-      }
-      sweep.replicate = static_cast<int>(reps);
-      ++i;
-    } else if (arg == "--stats") {
-      if (!has_value ||
-          !summary::parse_stats(argv[i + 1], sweep.stats, err)) {
-        if (!has_value) {
-          err << "error: --stats expects a comma-separated subset of "
-                 "mean,stddev,cov,min,max\n";
-        }
-        return 2;
-      }
-      stats_given = true;
-      ++i;
-    } else if (arg == "--shard") {
-      // i/n: this invocation runs shard i of n and writes a partial
-      // artifact for `tfmcc_sim merge`.
-      bool ok = has_value;
-      if (ok) {
-        const std::string_view spec = argv[i + 1];
-        const std::size_t slash = spec.find('/');
-        ok = slash != std::string_view::npos;
-        if (ok) {
-          char* end = nullptr;
-          const std::string text{spec};
-          const long index = std::strtol(text.c_str(), &end, 10);
-          ok = end == text.c_str() + slash;
-          char* end2 = nullptr;
-          const long count =
-              ok ? std::strtol(text.c_str() + slash + 1, &end2, 10) : 0;
-          ok = ok && end2 == text.c_str() + text.size() && count >= 1 &&
-               count <= 10'000 && index >= 0 && index < count;
-          if (ok) {
-            sweep.shard_index = static_cast<int>(index);
-            sweep.shard_count = static_cast<int>(count);
-          }
-        }
-      }
-      if (!ok) {
-        err << "error: --shard expects i/n with 0 <= i < n <= 10000 "
-               "(e.g. --shard 0/3)\n";
-        return 2;
-      }
-      ++i;
-    } else if (arg == "--checkpoint") {
-      if (!has_value) {
-        err << "error: --checkpoint expects a file path\n";
-        return 2;
-      }
-      sweep.checkpoint_path = argv[i + 1];
-      ++i;
-    } else if (arg == "--checkpoint-every") {
-      char* end = nullptr;
-      const long every = has_value ? std::strtol(argv[i + 1], &end, 10) : 0;
-      if (!has_value || end == argv[i + 1] || *end != '\0' || every < 1 ||
-          every > 1'000'000) {
-        err << "error: --checkpoint-every expects an integer between 1 "
-               "and 1e6\n";
-        return 2;
-      }
-      sweep.checkpoint_every = static_cast<int>(every);
-      ++i;
-    } else if (arg == "--resume") {
-      if (!has_value) {
-        err << "error: --resume expects a checkpoint file path\n";
-        return 2;
-      }
-      sweep.resume_path = argv[i + 1];
-      ++i;
-    } else if (arg == "--max-point-failures") {
-      char* end = nullptr;
-      const long cap = has_value ? std::strtol(argv[i + 1], &end, 10) : -1;
-      if (!has_value || end == argv[i + 1] || *end != '\0' || cap < 0 ||
-          cap > 1'000'000) {
-        err << "error: --max-point-failures expects an integer between 0 "
-               "and 1e6\n";
-        return 2;
-      }
-      sweep.max_point_failures = static_cast<int>(cap);
-      ++i;
-    } else if (arg == "--progress") {
-      sweep.progress = true;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
+  FlagTable table = {
+      {"--sweep", "key=v1,v2,...|lo:hi:linN|logN",
+       "key=v1,v2,... or key=lo:hi:linN|logN",
+       [&](std::string_view v, std::ostream& e) {
+         SweepAxis axis;
+         const std::string_view key = v.substr(0, v.find('='));
+         if (!parse_sweep_axis(v, scenario->find_param(key), axis, e)) {
+           return false;
+         }
+         sweep.axes.push_back(std::move(axis));
+         return true;
+       },
+       true, true},
+      int_flag("--replicate", sweep.replicate, 1, 100'000),
+      {"--stats", "mean,stddev,cov,min,max",
+       "a comma-separated subset of mean,stddev,cov,min,max",
+       [&](std::string_view v, std::ostream& e) {
+         return stats_given = summary::parse_stats(v, sweep.stats, e);
+       },
+       false, true},
+  };
+  table[1].forward = true;
+  table.insert(table.end(), flags.begin(), flags.end());
+  for (Flag& f : scenario_flags(sweep.base)) table.push_back(std::move(f));
+  if (argc < 1 || std::string_view{argv[0]}.substr(0, 2) == "--") {
+    err << "usage: tfmcc_sim " << command << " <scenario>"
+        << flag_usage(table) << '\n';
+    return nullptr;
+  }
+  scenario = ScenarioRegistry::instance().find_or_diagnose(argv[0], err);
+  if (scenario == nullptr ||
+      !parse_flags(argc - 1, argv + 1, table, err, nullptr, forwarded)) {
+    return nullptr;
   }
   if (stats_given && sweep.replicate == 1) {
     // A single replicate emits raw rows, so a stats selection would be
     // silently dead; make the contradiction loud.
     err << "error: --stats requires --replicate greater than 1\n";
-    return 2;
+    return nullptr;
   }
-  if (!parse_scenario_options(static_cast<int>(passthrough.size()),
-                              passthrough.data(), sweep.base, err)) {
-    return 2;
-  }
+  return scenario;
+}
 
-  std::ofstream file;
-  std::ostream* out = &std::cout;
-  if (sweep.base.output_path.has_value()) {
-    if (!open_output_file(*sweep.base.output_path, file, err)) return 2;
-    out = &file;
-  }
+const Scenario* parse_sweep_cli(int argc, char** argv, SweepOptions& sweep,
+                                std::ostream& err) {
+  auto shard = [&sweep](std::string_view v, std::ostream&) {
+    // i/n: this invocation runs shard i of n and writes a partial artifact
+    // for `tfmcc_sim merge`.
+    const std::size_t slash = v.find('/');
+    std::int64_t index = 0;
+    std::int64_t count = 0;
+    if (slash == std::string_view::npos ||
+        !parse_i64(v.substr(0, slash), index) ||
+        !parse_i64(v.substr(slash + 1), count) || count < 1 ||
+        count > 10'000 || index < 0 || index >= count) {
+      return false;
+    }
+    sweep.shard_index = static_cast<int>(index);
+    sweep.shard_count = static_cast<int>(count);
+    return true;
+  };
+  return parse_sweep_command(
+      "sweep", argc, argv,
+      {int_flag("--jobs", sweep.jobs, 1, 1024),
+       {"--progress", "", "",
+        [&sweep](std::string_view, std::ostream&) {
+          return sweep.progress = true;
+        }},
+       {"--shard", "i/n", "i/n with 0 <= i < n <= 10000 (e.g. --shard 0/3)",
+        shard},
+       path_flag("--checkpoint", sweep.checkpoint_path),
+       int_flag("--checkpoint-every", sweep.checkpoint_every, 1, 1'000'000),
+       path_flag("--resume", sweep.resume_path, "a checkpoint file path"),
+       int_flag("--max-point-failures", sweep.max_point_failures, 0,
+                1'000'000)},
+      sweep, nullptr, err);
+}
 
-  // While checkpointing, SIGTERM/SIGINT request a graceful stop — workers
-  // drain, a final checkpoint is flushed, and the process exits nonzero
-  // with the state resumable — instead of killing the process between
-  // periodic writes.  Handlers are scoped to the run: restored before
-  // returning so a supervisor embedding sweep_main keeps its own disposition.
+int sweep_main(int argc, char** argv, std::ostream& err) {
+  SweepOptions sweep;
+  const Scenario* scenario = parse_sweep_cli(argc, argv, sweep, err);
+  if (scenario == nullptr) return 2;
+  return write_output(sweep.base.output_path, err, [&](std::ostream& out) {
+    // While checkpointing, SIGTERM/SIGINT request a graceful stop — workers
+    // drain, a final checkpoint is flushed, and the process exits nonzero
+    // with the state resumable — instead of killing the process between
+    // periodic writes.  Handlers are scoped to the run: restored before
+    // returning so a supervisor embedding sweep_main keeps its own
+    // disposition.
 #if defined(__unix__) || defined(__APPLE__)
-  struct sigaction old_term {};
-  struct sigaction old_int {};
-  const bool trap_signals = !sweep.checkpoint_path.empty();
-  if (trap_signals) {
-    struct sigaction sa {};
-    sa.sa_handler = [](int) { request_sweep_interrupt(); };
-    sigemptyset(&sa.sa_mask);
-    sigaction(SIGTERM, &sa, &old_term);
-    sigaction(SIGINT, &sa, &old_int);
-  }
+    std::optional<ScopedStopSignals> trap;
+    if (!sweep.checkpoint_path.empty()) {
+      trap.emplace([](int) { request_sweep_interrupt(); });
+    }
 #endif
-  const int rc = run_sweep(*scenario, sweep, *out, err);
-#if defined(__unix__) || defined(__APPLE__)
-  if (trap_signals) {
-    sigaction(SIGTERM, &old_term, nullptr);
-    sigaction(SIGINT, &old_int, nullptr);
-  }
-#endif
-  if (file.is_open() &&
-      !finish_output_file(*sweep.base.output_path, file, err)) {
-    return 2;
-  }
-  return rc;
+    return run_sweep(*scenario, sweep, out, err);
+  });
 }
 
 }  // namespace tfmcc

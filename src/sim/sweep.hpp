@@ -14,18 +14,24 @@
 // Range points for integer-typed parameters are rounded and adjacent
 // duplicates collapsed, so e.g. 1:10:log20 yields each count once.
 //
-// Points run concurrently on a fixed-size thread pool (`--jobs N`), each
-// with its output sink redirected to a private buffer (see
-// ScenarioOptions::set_output); the aggregator then emits rows in
-// deterministic grid order — axes vary with the last `--sweep` fastest —
-// regardless of completion order, so `--jobs 1` and `--jobs N` produce
-// byte-identical output.  Replicated sweeps stream: each run's output is
-// folded into its grid point's statistics accumulator as soon as every
-// earlier task (in task order) has completed, and the raw capture is
-// released — the accumulators see rows in the same order a serial sweep
-// would feed them, while peak memory holds the in-flight window instead of
-// all grid x N outputs.  Figure-header/CHECK/NOTE commentary from the
-// points is dropped from the aggregate; per-point CSV headers must agree.
+// run_sweep is three steps.  Plan (plan_sweep, sim/sweep_state.hpp)
+// validates the axes, checks the grid and grid x replicate caps before
+// expanding the grid, validates every point against the scenario's
+// ParamSpecs, and lists the tasks this shard owns; the campaign supervisor
+// runs the same plan.  Execute runs the owned tasks on a fixed-size thread
+// pool (`--jobs N`), each with its output sink redirected to a private
+// buffer (see ScenarioOptions::set_output).  Workers claim the costliest
+// tasks first within bounded windows of the task order (see
+// sweep_point_cost), but each run's output is folded into its grid point's
+// statistics accumulator strictly in task order, as soon as every earlier
+// task has completed, and the raw capture is released — so the
+// accumulators see rows in the same order a serial sweep would feed them,
+// `--jobs 1` and `--jobs N` produce byte-identical output, and peak memory
+// holds the in-flight window instead of all grid x N outputs.  Emit
+// (emit_sweep_aggregate) writes rows in deterministic grid order — axes
+// vary with the last `--sweep` fastest.  Figure-header/CHECK/NOTE
+// commentary from the points is dropped from the aggregate; per-point CSV
+// headers must agree.
 //
 // `--replicate N` runs every grid point N times with per-replicate seeds
 // derived from the base `--seed` (see derive_replicate_seed; unset base
@@ -39,6 +45,10 @@
 // count.  `--replicate 1` keeps today's raw-row aggregate byte-for-byte.
 // `--progress` forces the throttled progress/ETA line that is otherwise
 // only emitted when stderr is a TTY.
+//
+// The command lines of `sweep` and `campaign` are one flag table (see
+// parse_sweep_command and Flag in sim/scenario.hpp): the flags that define
+// the sweep are shared, and campaign forwards exactly those to its shards.
 
 #include <iosfwd>
 #include <string>
@@ -47,6 +57,10 @@
 
 #include "analysis/summary.hpp"
 #include "sim/scenario.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <csignal>
+#endif
 
 namespace tfmcc {
 
@@ -79,10 +93,12 @@ std::string point_label(const std::vector<SweepAxis>& axes,
 /// Scheduling/progress cost hint for one grid point: the product of its
 /// axis values that parse as numbers greater than 1 (n_receivers=2000 →
 /// 2000); non-numeric and small values contribute 1, so every hint is
-/// >= 1.  Purely a heuristic — it reorders *scheduling* (longest expected
-/// first, so uneven grids stop tail-stalling the pool) and weights the
-/// progress/ETA line, while fold order stays task order, preserving the
-/// byte-identity contract.
+/// >= 1.  Purely a heuristic, with two uses.  Workers claim the costliest
+/// pending tasks first within windows of max(8, 4 x jobs) consecutive
+/// tasks, so an uneven grid's expensive tail starts early instead of
+/// stalling the pool at the end; fold order stays task order, preserving
+/// the byte-identity contract.  And the hints weight the progress/ETA
+/// line.
 double sweep_point_cost(const std::vector<std::string>& point);
 
 /// Weighted ETA: elapsed time extrapolated over remaining *work* (cost
@@ -163,13 +179,52 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
 /// `--checkpoint` is active.
 void request_sweep_interrupt();
 
+#if defined(__unix__) || defined(__APPLE__)
+/// Routes SIGTERM and SIGINT to `handler` while alive and restores the
+/// previous dispositions on destruction, so a graceful-stop handler never
+/// outlives the run it protects.
+struct ScopedStopSignals {
+  explicit ScopedStopSignals(void (*handler)(int)) {
+    struct sigaction sa {};
+    sa.sa_handler = handler;
+    sigemptyset(&sa.sa_mask);
+    sigaction(SIGTERM, &sa, &old_term);
+    sigaction(SIGINT, &sa, &old_int);
+  }
+  ~ScopedStopSignals() {
+    sigaction(SIGTERM, &old_term, nullptr);
+    sigaction(SIGINT, &old_int, nullptr);
+  }
+  ScopedStopSignals(const ScopedStopSignals&) = delete;
+  ScopedStopSignals& operator=(const ScopedStopSignals&) = delete;
+
+  struct sigaction old_term {};
+  struct sigaction old_int {};
+};
+#endif
+
+/// The command-line head `sweep` and `campaign` share: argv[0] names the
+/// scenario, the rest parses against the sweep-definition flags (`--sweep`
+/// key=spec, repeatable; `--replicate N`; `--stats list`; the single-run
+/// flags), which campaign forwards to its shards, followed by the
+/// command's own `flags`.  The arguments of forwarded flags are appended to
+/// `forwarded` when it is given.  Returns the scenario, or nullptr after a
+/// usage line or diagnostic on `err`.
+const Scenario* parse_sweep_command(std::string_view command, int argc,
+                                    char** argv, FlagTable flags,
+                                    SweepOptions& sweep,
+                                    std::vector<std::string>* forwarded,
+                                    std::ostream& err);
+
+/// parse_sweep_command for `tfmcc_sim sweep`, whose own flags are `--jobs
+/// N`, `--progress`, `--shard i/n`, `--checkpoint <path>`,
+/// `--checkpoint-every N`, `--resume <path>` and `--max-point-failures K`.
+const Scenario* parse_sweep_cli(int argc, char** argv, SweepOptions& sweep,
+                                std::ostream& err);
+
 /// CLI entry for `tfmcc_sim sweep <scenario> ...`: argv holds everything
-/// after the `sweep` token.  Accepts `--sweep key=spec` (repeatable),
-/// `--jobs N`, `--replicate N`, `--stats list`, `--progress`, sharding and
-/// checkpoint flags (`--shard i/n`, `--checkpoint`, `--checkpoint-every`,
-/// `--resume`), `--max-point-failures K`, and every single-run flag
-/// (`--duration`, `--seed`, `--set`, `--output`).  Returns the process
-/// exit code.
+/// after the `sweep` token (see parse_sweep_cli).  Returns the process exit
+/// code.
 int sweep_main(int argc, char** argv, std::ostream& err);
 
 }  // namespace tfmcc

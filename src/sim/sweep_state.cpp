@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <istream>
 #include <ostream>
 #include <set>
@@ -25,35 +24,30 @@ constexpr std::string_view kPartialMagic = "TFMCC-SWEEP-PART";
 // counts) the campaign supervisor polls for liveness.
 constexpr int kFormatVersion = 2;
 
-std::string stats_spelling(const std::vector<summary::Stat>& stats) {
-  std::string s;
-  for (summary::Stat st : stats) {
-    if (!s.empty()) s += ',';
-    s += summary::stat_name(st);
-  }
-  return s;
-}
-
-std::string join_cells(const std::vector<std::string>& cells) {
+/// The items spelled by `spell`, joined with commas.
+template <typename T, typename Spell>
+std::string join(const std::vector<T>& items, Spell spell) {
   std::string line;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
     if (i != 0) line += ',';
-    line += cells[i];
+    line += spell(items[i]);
   }
   return line;
 }
 
+std::string stats_spelling(const std::vector<summary::Stat>& stats) {
+  return join(stats, summary::stat_name);
+}
+
 /// Hex bitmap, 4 tasks per character, bit t%4 of nibble t/4.
 std::string encode_bitmap(const std::vector<char>& bits) {
-  static const char hex[] = "0123456789abcdef";
-  std::string out((bits.size() + 3) / 4, '0');
-  for (std::size_t t = 0; t < bits.size(); ++t) {
-    if (bits[t] != 0) {
-      const std::size_t i = t / 4;
-      const int nibble = (out[i] >= 'a' ? out[i] - 'a' + 10 : out[i] - '0') |
-                         (1 << (t % 4));
-      out[i] = hex[nibble];
+  std::string out;
+  for (std::size_t i = 0; i < bits.size(); i += 4) {
+    int nibble = 0;
+    for (std::size_t b = 0; b < 4 && i + b < bits.size(); ++b) {
+      nibble |= (bits[i + b] != 0 ? 1 : 0) << b;
     }
+    out += "0123456789abcdef"[nibble];
   }
   return out;
 }
@@ -64,14 +58,10 @@ bool decode_bitmap(const std::string& text, std::size_t n,
   bits.assign(n, 0);
   for (std::size_t t = 0; t < n; ++t) {
     const char c = text[t / 4];
-    int nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = c - 'a' + 10;
-    } else {
-      return false;
-    }
+    const int nibble = c >= '0' && c <= '9'   ? c - '0'
+                       : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                                              : -1;
+    if (nibble < 0) return false;
     bits[t] = static_cast<char>((nibble >> (t % 4)) & 1);
   }
   return true;
@@ -97,6 +87,35 @@ std::uint64_t count_set(const std::vector<char>& bits) {
   std::uint64_t n = 0;
   for (char b : bits) n += b != 0;
   return n;
+}
+
+/// Reads the magic and version every state file opens with and, for a
+/// checkpoint, its progress header.  `err` names the first problem.
+bool read_preamble(std::istream& is, SweepStateFile::Kind& kind,
+                   CheckpointProgress& progress, std::string& err) {
+  std::string magic;
+  int version = 0;
+  if (!(is >> magic) || !(is >> version)) {
+    err = "truncated or malformed sweep state";
+    return false;
+  }
+  if (magic != kCheckpointMagic && magic != kPartialMagic) {
+    err = "not a sweep checkpoint or partial (bad magic)";
+    return false;
+  }
+  kind = magic == kCheckpointMagic ? SweepStateFile::Kind::kCheckpoint
+                                   : SweepStateFile::Kind::kPartial;
+  if (version != kFormatVersion) {
+    err = "unsupported sweep state version";
+    return false;
+  }
+  if (kind == SweepStateFile::Kind::kCheckpoint &&
+      (!expect_token(is, "progress") || !(is >> progress.heartbeat) ||
+       !(is >> progress.folded_tasks) || !(is >> progress.owned_tasks))) {
+    err = "truncated or malformed checkpoint progress header";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -128,18 +147,17 @@ void SweepManifest::save(std::ostream& os) const {
   os << "manifest " << kFormatVersion << '\n';
   os << "scenario ";
   summary::write_str(os, scenario);
+  auto write_optional = [&os](const auto& v) {
+    if (v.has_value()) {
+      os << *v;
+    } else {
+      os << 'u';
+    }
+  };
   os << "\nduration ";
-  if (duration_ns.has_value()) {
-    os << *duration_ns;
-  } else {
-    os << 'u';
-  }
+  write_optional(duration_ns);
   os << "\nseed ";
-  if (seed.has_value()) {
-    os << *seed;
-  } else {
-    os << 'u';
-  }
+  write_optional(seed);
   os << "\nreplicate " << replicate << "\nstats ";
   summary::write_str(os, stats_spelling(stats));
   os << "\nshard " << shard_index << ' ' << shard_count;
@@ -171,22 +189,20 @@ bool SweepManifest::load(std::istream& is, SweepManifest& out,
   if (!expect_token(is, "scenario") || !summary::read_str(is, out.scenario)) {
     return false;
   }
-  std::string tok;
-  if (!expect_token(is, "duration") || !(is >> tok)) return false;
-  if (tok != "u") {
-    try {
-      out.duration_ns = std::stoll(tok);
-    } catch (...) {
-      return false;
-    }
-  }
-  if (!expect_token(is, "seed") || !(is >> tok)) return false;
-  if (tok != "u") {
-    try {
-      out.seed = std::stoull(tok);
-    } catch (...) {
-      return false;
-    }
+  // "u" for unset, else the number, which must fill the whole token.
+  auto read_optional = [&is](std::string_view key, auto& field) {
+    std::string tok;
+    if (!expect_token(is, key) || !(is >> tok)) return false;
+    if (tok == "u") return true;
+    std::istringstream number{tok};
+    typename std::remove_reference_t<decltype(field)>::value_type v{};
+    if (!(number >> v) || !number.eof()) return false;
+    field = v;
+    return true;
+  };
+  if (!read_optional("duration", out.duration_ns) ||
+      !read_optional("seed", out.seed)) {
+    return false;
   }
   if (!expect_token(is, "replicate") || !(is >> out.replicate) ||
       out.replicate < 1) {
@@ -272,17 +288,15 @@ bool SweepManifest::matches(const SweepManifest& other, bool ignore_shard_index,
     return fail("--stats", stats_spelling(stats),
                 stats_spelling(other.stats));
   }
+  auto spell = [](const auto& v, const char* unit) {
+    return v.has_value() ? std::to_string(*v) + unit : std::string{"unset"};
+  };
   if (duration_ns != other.duration_ns) {
-    auto spell = [](const std::optional<std::int64_t>& d) {
-      return d.has_value() ? std::to_string(*d) + "ns" : std::string{"unset"};
-    };
-    return fail("--duration", spell(duration_ns), spell(other.duration_ns));
+    return fail("--duration", spell(duration_ns, "ns"),
+                spell(other.duration_ns, "ns"));
   }
   if (seed != other.seed) {
-    auto spell = [](const std::optional<std::uint64_t>& s) {
-      return s.has_value() ? std::to_string(*s) : std::string{"unset"};
-    };
-    return fail("--seed", spell(seed), spell(other.seed));
+    return fail("--seed", spell(seed, ""), spell(other.seed, ""));
   }
   if (params != other.params) {
     return fail("--set overrides", std::to_string(params.size()) + " keys",
@@ -300,8 +314,7 @@ bool SweepManifest::matches(const SweepManifest& other, bool ignore_shard_index,
 }
 
 bool shard_owns_point(const SweepManifest& m, std::size_t point) {
-  return point % static_cast<std::size_t>(m.shard_count) ==
-         static_cast<std::size_t>(m.shard_index);
+  return m.owner_of(point) == m.shard_index;
 }
 
 void SweepStateFile::save(std::ostream& os) const {
@@ -330,31 +343,9 @@ void SweepStateFile::save(std::ostream& os) const {
 bool SweepStateFile::load(std::istream& is, SweepStateFile& out,
                           std::string& err) {
   out = SweepStateFile{};
-  err = "truncated or malformed sweep state";
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic) || !(is >> version)) return false;
-  if (magic == kCheckpointMagic) {
-    out.kind = Kind::kCheckpoint;
-  } else if (magic == kPartialMagic) {
-    out.kind = Kind::kPartial;
-  } else {
-    err = "not a sweep checkpoint or partial (bad magic)";
-    return false;
-  }
-  if (version != kFormatVersion) {
-    err = "unsupported sweep state version";
-    return false;
-  }
-  std::uint64_t claimed_folded = 0;
-  std::uint64_t claimed_owned = 0;
-  if (out.kind == Kind::kCheckpoint) {
-    if (!expect_token(is, "progress") || !(is >> out.heartbeat) ||
-        !(is >> claimed_folded) || !(is >> claimed_owned)) {
-      err = "truncated or malformed checkpoint progress header";
-      return false;
-    }
-  }
+  CheckpointProgress claimed;
+  if (!read_preamble(is, out.kind, claimed, err)) return false;
+  out.heartbeat = claimed.heartbeat;
   if (!SweepManifest::load(is, out.manifest, err)) return false;
   err = "truncated or malformed sweep state";
   if (!expect_token(is, "header") || !summary::read_str(is, out.header)) {
@@ -370,8 +361,8 @@ bool SweepStateFile::load(std::istream& is, SweepStateFile& out,
     }
     // The progress header is derived state; a disagreement with the bitmap
     // or manifest marks a hand-edited or corrupt file.
-    if (claimed_folded != count_set(out.folded) ||
-        claimed_owned != owned_task_count(out.manifest)) {
+    if (claimed.folded_tasks != count_set(out.folded) ||
+        claimed.owned_tasks != owned_task_count(out.manifest)) {
       err = "checkpoint progress header disagrees with the folded bitmap";
       return false;
     }
@@ -494,19 +485,11 @@ bool read_checkpoint_progress(const std::string& path, CheckpointProgress& out,
     err = "cannot open '" + path + "'";
     return false;
   }
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic) || magic != kCheckpointMagic) {
-    err = "'" + path + "' is not a sweep checkpoint";
-    return false;
-  }
-  if (!(is >> version) || version != kFormatVersion) {
-    err = "'" + path + "' has an unsupported checkpoint version";
-    return false;
-  }
-  if (!expect_token(is, "progress") || !(is >> out.heartbeat) ||
-      !(is >> out.folded_tasks) || !(is >> out.owned_tasks)) {
-    err = "'" + path + "' has a malformed progress header";
+  SweepStateFile::Kind kind{};
+  std::string why = "a shard partial";
+  if (!read_preamble(is, kind, out, why) ||
+      kind != SweepStateFile::Kind::kCheckpoint) {
+    err = "'" + path + "' is not a sweep checkpoint (" + why + ")";
     return false;
   }
   err.clear();
@@ -514,7 +497,8 @@ bool read_checkpoint_progress(const std::string& path, CheckpointProgress& out,
 }
 
 bool load_state_file(const std::string& path, SweepStateFile& out,
-                     std::ostream& err) {
+                     std::ostream& err,
+                     std::optional<SweepStateFile::Kind> kind) {
   std::ifstream is{path, std::ios::binary};
   if (!is) {
     err << "error: cannot open '" << path << "'\n";
@@ -523,6 +507,15 @@ bool load_state_file(const std::string& path, SweepStateFile& out,
   std::string why;
   if (!SweepStateFile::load(is, out, why)) {
     err << "error: cannot load '" << path << "': " << why << '\n';
+    return false;
+  }
+  if (kind.has_value() && out.kind != *kind) {
+    err << "error: '" << path
+        << (kind == SweepStateFile::Kind::kCheckpoint
+                ? "' is a shard partial, not a checkpoint (merge it with "
+                  "`tfmcc_sim merge` instead)\n"
+                : "' is a sweep checkpoint, not a shard partial (resume it "
+                  "with `sweep ... --resume` instead)\n");
     return false;
   }
   return true;
@@ -552,7 +545,9 @@ int emit_sweep_aggregate(const SweepManifest& manifest,
       if (skipped(i)) continue;
       for (const auto& row : per_point[i].rows()) {
         for (const auto& value : grid[i]) out << value << ',';
-        out << join_cells(row) << '\n';
+        out << join(row, [](const std::string& c) -> const std::string& {
+          return c;
+        }) << '\n';
       }
     }
     return 0;
@@ -564,23 +559,19 @@ int emit_sweep_aggregate(const SweepManifest& manifest,
   // comparison.
   const summary::ColumnSummary* reference = nullptr;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (!skipped(i) && per_point[i].row_count() > 0) {
+    if (skipped(i) || per_point[i].row_count() == 0) continue;
+    if (reference == nullptr) {
       reference = &per_point[i];
-      break;
-    }
-  }
-  if (reference == nullptr) reference = &per_point.front();
-  const std::vector<std::string> expanded =
-      reference->header(manifest.stats);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (!skipped(i) && per_point[i].row_count() > 0 &&
-        per_point[i].numeric_mask() != reference->numeric_mask()) {
+    } else if (per_point[i].numeric_mask() != reference->numeric_mask()) {
       err << "error: sweep point " << point_label(axes, grid[i])
           << " has a different numeric/label column mix than earlier "
              "points; cannot aggregate\n";
       return 1;
     }
   }
+  const std::vector<std::string> expanded =
+      (reference != nullptr ? *reference : per_point.front())
+          .header(manifest.stats);
 
   for (const auto& axis : axes) out << axis.key << ',';
   for (const auto& name : expanded) out << name << ',';
@@ -596,40 +587,30 @@ int emit_sweep_aggregate(const SweepManifest& manifest,
   return 0;
 }
 
-int merge_main(int argc, char** argv, std::ostream& err) {
-  std::optional<std::string> output_path;
-  std::vector<std::string> part_paths;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--output") {
-      if (i + 1 >= argc) {
-        err << "error: --output expects a path\n";
-        return 2;
-      }
-      output_path = argv[i + 1];
-      ++i;
-    } else if (arg.substr(0, 2) == "--") {
-      err << "error: unknown merge flag '" << arg << "'\n";
-      return 2;
-    } else {
-      part_paths.emplace_back(arg);
-    }
-  }
+bool parse_merge_cli(int argc, char** argv,
+                     std::optional<std::string>& output_path,
+                     std::vector<std::string>& part_paths,
+                     std::ostream& err) {
+  const FlagTable table = {path_flag("--output", output_path)};
+  if (!parse_flags(argc, argv, table, err, &part_paths)) return false;
   if (part_paths.empty()) {
-    err << "usage: tfmcc_sim merge [--output <path>] <partial>...\n"
+    err << "usage: tfmcc_sim merge" << flag_usage(table)
+        << " <partial>...\n"
            "Folds the partial-aggregate artifacts written by "
            "`sweep --shard i/n` — all n of them, each exactly once — into "
            "the aggregate CSV the unsharded sweep would have written.\n";
-    return 2;
+    return false;
   }
+  return true;
+}
 
+int merge_partials(const std::vector<std::string>& part_paths,
+                   const std::optional<std::string>& output_path,
+                   std::ostream& err) {
   std::vector<SweepStateFile> parts(part_paths.size());
   for (std::size_t i = 0; i < part_paths.size(); ++i) {
-    if (!load_state_file(part_paths[i], parts[i], err)) return 2;
-    if (parts[i].kind != SweepStateFile::Kind::kPartial) {
-      err << "error: '" << part_paths[i]
-          << "' is a sweep checkpoint, not a shard partial (resume it with "
-             "`sweep ... --resume` instead)\n";
+    if (!load_state_file(part_paths[i], parts[i], err,
+                         SweepStateFile::Kind::kPartial)) {
       return 2;
     }
   }
@@ -669,37 +650,28 @@ int merge_main(int argc, char** argv, std::ostream& err) {
       grid.size(), summary::ColumnSummary{columns});
   for (std::size_t i = 0; i < parts.size(); ++i) {
     for (auto& [idx, state] : parts[i].points) {
-      if (idx >= grid.size()) {
-        err << "error: partial '" << part_paths[i]
-            << "' has state for point " << idx << " outside the grid\n";
-        return 2;
-      }
       if (state.columns() != columns) {
         err << "error: partial '" << part_paths[i]
             << "' point state disagrees with the recorded CSV header\n";
         return 2;
       }
-      // Each point has exactly one owner (validated at load), so this move
-      // installs the accumulator bitwise as the owning shard folded it.
+      // Each point is inside the grid and has exactly one owner (both
+      // validated at load), so this move installs the accumulator bitwise
+      // as the owning shard folded it.
       per_point[idx] = std::move(state);
     }
   }
 
-  std::ofstream file;
-  std::ostream* out = &std::cout;
-  if (output_path.has_value()) {
-    if (!open_output_file(*output_path, file, err)) return 2;
-    out = &file;
-  }
-  SweepManifest unsharded = ref;
-  unsharded.shard_index = 0;
-  unsharded.shard_count = 1;
-  const int rc = emit_sweep_aggregate(unsharded, grid, per_point, header,
-                                      *out, err);
-  if (file.is_open() && !finish_output_file(*output_path, file, err)) {
-    return 2;
-  }
-  return rc;
+  return write_output(output_path, err, [&](std::ostream& out) {
+    return emit_sweep_aggregate(ref, grid, per_point, header, out, err);
+  });
+}
+
+int merge_main(int argc, char** argv, std::ostream& err) {
+  std::optional<std::string> output_path;
+  std::vector<std::string> part_paths;
+  if (!parse_merge_cli(argc, argv, output_path, part_paths, err)) return 2;
+  return merge_partials(part_paths, output_path, err);
 }
 
 }  // namespace tfmcc

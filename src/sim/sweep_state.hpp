@@ -66,6 +66,10 @@ struct SweepManifest {
   std::size_t n_tasks() const {
     return n_points() * static_cast<std::size_t>(replicate);
   }
+  /// The shard that owns grid point `point` (see shard_owns_point).
+  int owner_of(std::size_t point) const {
+    return static_cast<int>(point % static_cast<std::size_t>(shard_count));
+  }
 
   void save(std::ostream& os) const;
   static bool load(std::istream& is, SweepManifest& out, std::string& err);
@@ -82,6 +86,29 @@ struct SweepManifest {
 /// Round-robin keeps monotone-cost ladders (2..2000 receivers) balanced
 /// across shards instead of handing one shard the whole expensive tail.
 bool shard_owns_point(const SweepManifest& m, std::size_t point);
+
+/// A validated sweep, before anything runs: its manifest, the expanded grid,
+/// and which tasks this shard runs.  Task t is replicate t % replicate of
+/// grid point t / replicate.  run_sweep executes a plan; the campaign
+/// supervisor plans the same sweep to validate it once and to know which
+/// shard owns each point.
+struct SweepPlan {
+  SweepManifest manifest;
+  std::vector<std::vector<std::string>> grid;
+  /// The tasks whose point this shard owns, in task order.
+  std::vector<std::size_t> owned_tasks;
+
+  std::size_t point_of(std::size_t task) const {
+    return task / static_cast<std::size_t>(manifest.replicate);
+  }
+};
+
+/// Validates `sweep` for `scenario` and fills `plan`.  The axes, the grid
+/// and grid x replicate caps are checked before the grid is expanded, then
+/// every point against the scenario's ParamSpecs.  Returns false after a
+/// diagnostic on `err`: configuration errors, exit code 2.
+bool plan_sweep(const Scenario& scenario, const SweepOptions& sweep,
+                SweepPlan& plan, std::ostream& err);
 
 /// On-disk state shared by checkpoints and shard partials: the manifest,
 /// the CSV header once one was seen, per-point accumulator states, and —
@@ -135,9 +162,11 @@ bool save_state_file_atomic(const SweepStateFile& state,
                             const std::string& path, std::ostream& err);
 
 /// Loads and validates `path`.  Returns false after a diagnostic on `err`
-/// for unreadable, corrupt, or truncated files.
+/// for unreadable, corrupt, or truncated files, and for a file that is not
+/// of `kind` when one is given.
 bool load_state_file(const std::string& path, SweepStateFile& out,
-                     std::ostream& err);
+                     std::ostream& err,
+                     std::optional<SweepStateFile::Kind> kind = std::nullopt);
 
 /// Writes the final aggregate CSV from fully-folded per-point state: raw
 /// rows in grid order when replicate == 1, summary-statistics rows
@@ -155,9 +184,22 @@ int emit_sweep_aggregate(const SweepManifest& manifest,
                          std::ostream& err,
                          const std::vector<char>* skip_points = nullptr);
 
-/// CLI entry for `tfmcc_sim merge [--output <path>] <partial>...`: loads
-/// the shard partials, refuses mismatched or incomplete shard sets, and
-/// emits the combined aggregate CSV.  Returns the process exit code.
+/// Loads the shard partials at `part_paths`, refuses mismatched or
+/// incomplete shard sets, and writes the combined aggregate CSV to
+/// `output_path` (stdout when unset).  Returns the exit code: 2 after a
+/// diagnostic for unusable partials.
+int merge_partials(const std::vector<std::string>& part_paths,
+                   const std::optional<std::string>& output_path,
+                   std::ostream& err);
+
+/// Parses `tfmcc_sim merge` argv: `--output <path>` and the partial paths.
+/// Returns false after a usage line (no partials) or a diagnostic.
+bool parse_merge_cli(int argc, char** argv,
+                     std::optional<std::string>& output_path,
+                     std::vector<std::string>& part_paths, std::ostream& err);
+
+/// CLI entry for `tfmcc_sim merge [--output <path>] <partial>...` (see
+/// merge_partials).  Returns the process exit code.
 int merge_main(int argc, char** argv, std::ostream& err);
 
 }  // namespace tfmcc

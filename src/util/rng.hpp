@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <random>
 
 namespace tfmcc {
 
@@ -13,8 +12,8 @@ namespace tfmcc {
 /// unchanged.  The state refill is branchless: the twist's conditional xor
 /// of the matrix constant is `(0 - (y & 1)) & a`, where the conventional
 /// `(y & 1) ? a : 0` is a data-dependent branch that mispredicts about half
-/// the time.  Satisfies UniformRandomBitGenerator, so the `std::*_distribution`
-/// templates still draw from it.
+/// the time.  Satisfies UniformRandomBitGenerator, so it can drive the
+/// `std::*_distribution` templates too.
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -62,6 +61,39 @@ class Mt19937_64 {
   std::size_t next_{kN};
 };
 
+/// Uniform integer in [lo, hi], inclusive, drawn from `gen` exactly as
+/// libstdc++ 12's `std::uniform_int_distribution<std::int64_t>` draws it
+/// from a 64-bit engine: Lemire's nearly divisionless multiply-and-reject
+/// (a 64x64->128-bit product whose high word is the result), or one raw
+/// draw when [lo, hi] spans all of int64.
+inline std::int64_t uniform_int(Mt19937_64& gen, std::int64_t lo,
+                                std::int64_t hi) {
+  const std::uint64_t range =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  if (range == ~std::uint64_t{0}) {
+    return static_cast<std::int64_t>(gen() + static_cast<std::uint64_t>(lo));
+  }
+  const std::uint64_t span = range + 1;
+  // The full 128-bit product of two 64-bit words, from 32-bit halves.
+  auto multiply = [span](std::uint64_t x, std::uint64_t& low) {
+    const std::uint64_t x_lo = x & 0xffffffffULL, x_hi = x >> 32;
+    const std::uint64_t s_lo = span & 0xffffffffULL, s_hi = span >> 32;
+    const std::uint64_t ll = x_lo * s_lo, lh = x_lo * s_hi;
+    const std::uint64_t hl = x_hi * s_lo, hh = x_hi * s_hi;
+    const std::uint64_t mid = (ll >> 32) + (lh & 0xffffffffULL) +
+                              (hl & 0xffffffffULL);
+    low = (mid << 32) | (ll & 0xffffffffULL);
+    return hh + (lh >> 32) + (hl >> 32) + (mid >> 32);
+  };
+  std::uint64_t low = 0;
+  std::uint64_t high = multiply(gen(), low);
+  if (low < span) {
+    const std::uint64_t threshold = (0 - span) % span;
+    while (low < threshold) high = multiply(gen(), low);
+  }
+  return static_cast<std::int64_t>(high + static_cast<std::uint64_t>(lo));
+}
+
 /// Deterministic random-number stream.
 ///
 /// Every stochastic component of the simulator draws from its own `Rng`
@@ -71,11 +103,9 @@ class Mt19937_64 {
 /// component draws, so adding a flow to a scenario does not perturb the
 /// loss pattern seen by existing flows.
 ///
-/// The engine and the common draws (`uniform01`, `uniform`, `bernoulli`,
-/// `exponential`) are written out here with libstdc++'s exact formulas, so
-/// they give the same values on any standard library.  `uniform_int`,
-/// `geometric_trials` and `normal` still use the implementation-defined
-/// `std::*_distribution` algorithms.
+/// The engine and every draw are written out here with libstdc++'s exact
+/// algorithms, so they give the same values on any standard library: no
+/// implementation-defined `std::*_distribution` is involved.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : gen_{mix(seed)}, seed_{seed} {}
@@ -92,10 +122,8 @@ class Rng {
 
   double uniform(double lo, double hi) { return canonical() * (hi - lo) + lo; }
 
-  /// Uniform integer in [lo, hi], inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>{lo, hi}(gen_);
-  }
+  /// Uniform integer in [lo, hi], inclusive (see tfmcc::uniform_int).
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   bool bernoulli(double p) {
     if (p <= 0.0) return false;
@@ -107,16 +135,6 @@ class Rng {
   double exponential(double mean) {
     const double lambda = 1.0 / mean;
     return -std::log(1.0 - canonical()) / lambda;
-  }
-
-  /// Geometric number of trials until first success (>= 1), success prob p.
-  std::int64_t geometric_trials(double p) {
-    if (p >= 1.0) return 1;
-    return 1 + std::geometric_distribution<std::int64_t>{p}(gen_);
-  }
-
-  double normal(double mean, double stddev) {
-    return std::normal_distribution<double>{mean, stddev}(gen_);
   }
 
  private:
@@ -139,5 +157,9 @@ class Rng {
   Mt19937_64 gen_;
   std::uint64_t seed_;
 };
+
+inline std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
+  return tfmcc::uniform_int(gen_, lo, hi);
+}
 
 }  // namespace tfmcc

@@ -153,6 +153,38 @@ std::string fresh_dir(const char* tag) {
   return tmpl;
 }
 
+TEST(Campaign, OversizedGridIsRefusedBeforeItIsExpanded) {
+  // Each 1000-value axis is legal on its own; their product is 10^9
+  // points.  The supervisor must diagnose that from the axis sizes, not
+  // try to build the grid.
+  std::string err;
+  const int rc = run_campaign_cli(
+      {"test_campaign_probe", "--sweep", "x=1:1000:lin1000", "--sweep",
+       "fail_if_x=1:1000:lin1000", "--sweep", "crash_unless=1:1000:lin1000"},
+      &err);
+  EXPECT_EQ(rc, 2) << err;
+  EXPECT_NE(err.find("error: sweep grid exceeds 1000000 points"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("launched"), std::string::npos) << err;
+}
+
+TEST(Campaign, GridTimesReplicateIsCappedBeforeAnyShardLaunches) {
+  // 10^6 points fit the grid cap; two replicates of each do not fit the run
+  // cap.  One diagnostic up front, instead of every shard exiting 2.
+  std::string err;
+  const int rc = run_campaign_cli(
+      {"test_campaign_probe", "--sweep", "x=1:1000:lin1000", "--sweep",
+       "fail_if_x=1:1000:lin1000", "--replicate", "2"},
+      &err);
+  EXPECT_EQ(rc, 2) << err;
+  EXPECT_NE(err.find("error: sweep grid times --replicate exceeds 1000000 "
+                     "runs"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("launched"), std::string::npos) << err;
+}
+
 TEST(Campaign, RecoversCrashedAndStalledShardsToAByteIdenticalMerge) {
   const std::string dir = fresh_dir("recover");
   const std::string merged = dir + "/merged.csv";

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 namespace tfmcc {
@@ -73,6 +75,50 @@ TEST(Rng, UniformIntInclusiveBounds) {
   EXPECT_TRUE(saw_hi);
 }
 
+TEST(Rng, UniformIntMatchesStdUniformIntDistribution) {
+  // uniform_int writes out libstdc++'s uniform_int_distribution<int64_t>;
+  // there the std:: template is the oracle, over small, negative, 32-bit
+  // edge, rejection-heavy (span just past 2^63) and full-int64 ranges.
+#if defined(__GLIBCXX__)
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, 0},           {0, 1},           {0, 3},
+      {-5, 1000},       {8, 48},          {-1, 1},
+      {0, 0xffffffff},  {0, 0x100000000}, {0, (1LL << 62) + 12345},
+      {-1, kMax},       {0, kMax},        {kMin, 0},
+      {kMin + 1, kMax}, {kMin, kMax - 1}, {kMin, kMax},
+      {kMax - 3, kMax}, {kMin, kMin + 3}};
+  for (const std::uint64_t seed : {1ULL, 77ULL, 2001ULL}) {
+    Mt19937_64 ours{seed};
+    std::mt19937_64 oracle{seed};
+    for (const auto& [lo, hi] : ranges) {
+      std::uniform_int_distribution<std::int64_t> dist{lo, hi};
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_EQ(uniform_int(ours, lo, hi), dist(oracle))
+            << "seed " << seed << " range [" << lo << ", " << hi << "] draw "
+            << i;
+      }
+    }
+  }
+#else
+  GTEST_SKIP() << "the oracle is libstdc++'s algorithm";
+#endif
+}
+
+TEST(Rng, UniformIntIsPinned) {
+  // Recorded from libstdc++ 12; the written-out algorithm gives these
+  // values on any standard library.
+  Rng r{2001};
+  const std::int64_t small[] = {19, 39, 27, 13, 10, 15, 43, 25};
+  for (const std::int64_t v : small) EXPECT_EQ(r.uniform_int(8, 48), v);
+  const std::int64_t wide[] = {5304195762737668426LL, 1195187932226113401LL,
+                               1122484798260625556LL, 4626375348271256340LL};
+  for (const std::int64_t v : wide) {
+    EXPECT_EQ(r.uniform_int(-1, std::numeric_limits<std::int64_t>::max()), v);
+  }
+}
+
 TEST(Rng, ExponentialMean) {
   Rng r{8};
   double sum = 0.0;
@@ -97,14 +143,6 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, GeometricTrialsMean) {
-  Rng r{11};
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(r.geometric_trials(0.1));
-  EXPECT_NEAR(sum / n, 10.0, 0.3);  // mean trials = 1/p
-}
-
 TEST(Mt19937_64, ReproducesStdEngineAcrossRefills) {
   // std::mt19937_64 is the oracle: same seeding, same stream, over more
   // than three refills of the 312-word state.
@@ -119,8 +157,8 @@ TEST(Mt19937_64, ReproducesStdEngineAcrossRefills) {
 }
 
 TEST(Mt19937_64, DrivesStdDistributions) {
-  // A UniformRandomBitGenerator: the std:: distributions that Rng still
-  // uses draw the same values from it as from std::mt19937_64.
+  // A UniformRandomBitGenerator: the std:: distributions draw the same
+  // values from it as from std::mt19937_64.
   Mt19937_64 ours{77};
   std::mt19937_64 oracle{77};
   for (int i = 0; i < 1000; ++i) {
