@@ -5,30 +5,13 @@
 
 namespace tfmcc {
 
-bool DropTailQueue::enqueue(const PacketPtr& p) {
-  if (q_.size() >= limit_) {
-    ++drops_;
-    return false;
-  }
-  bytes_ += p->size_bytes;
-  q_.push_back(p);
-  ++accepted_;
-  return true;
-}
-
-PacketPtr DropTailQueue::dequeue() {
-  if (q_.size() == 0) return nullptr;
-  PacketPtr p = q_.pop_front();
-  bytes_ -= p->size_bytes;
-  return p;
-}
-
-bool RedQueue::enqueue(const PacketPtr& p) {
+bool RedQueue::accepts(std::size_t backlog) {
   // Update the average queue estimate on every arrival.
-  avg_ = (1.0 - cfg_.weight) * avg_ + cfg_.weight * static_cast<double>(q_.size());
+  avg_ = (1.0 - cfg_.weight) * avg_ +
+         cfg_.weight * static_cast<double>(backlog);
 
   bool drop = false;
-  if (q_.size() >= cfg_.limit_packets || avg_ >= 2.0 * cfg_.max_th) {
+  if (backlog >= cfg_.limit_packets || avg_ >= 2.0 * cfg_.max_th) {
     drop = true;  // hard limit / gentle region ceiling
   } else if (avg_ >= cfg_.max_th) {
     // "Gentle" RED: drop probability rises linearly from max_p to 1.
@@ -47,22 +30,8 @@ bool RedQueue::enqueue(const PacketPtr& p) {
     count_since_drop_ = -1;
   }
 
-  if (drop) {
-    ++drops_;
-    count_since_drop_ = 0;
-    return false;
-  }
-  bytes_ += p->size_bytes;
-  q_.push_back(p);
-  ++accepted_;
-  return true;
-}
-
-PacketPtr RedQueue::dequeue() {
-  if (q_.size() == 0) return nullptr;
-  PacketPtr p = q_.pop_front();
-  bytes_ -= p->size_bytes;
-  return p;
+  if (drop) count_since_drop_ = 0;
+  return !drop;
 }
 
 }  // namespace tfmcc

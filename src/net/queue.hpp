@@ -1,101 +1,55 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <utility>
 
-#include "net/packet.hpp"
 #include "util/rng.hpp"
 
 namespace tfmcc {
 
-namespace detail {
-
-/// Fixed-capacity FIFO ring of PacketPtrs.  Queues have a hard packet
-/// limit, so a preallocated ring replaces per-node deque traffic on the
-/// enqueue/dequeue hot path (two queue ops per packet hop).
-class PacketRing {
- public:
-  explicit PacketRing(std::size_t capacity)
-      : ring_(round_up_pow2(capacity)), mask_{ring_.size() - 1} {}
-
-  std::size_t size() const { return size_; }
-
-  void push_back(const PacketPtr& p) {
-    ring_[(head_ + size_) & mask_] = p;
-    ++size_;
-  }
-
-  PacketPtr pop_front() {
-    PacketPtr p = std::move(ring_[head_]);
-    head_ = (head_ + 1) & mask_;
-    --size_;
-    return p;
-  }
-
- private:
-  // Power-of-two capacity: the index wrap is a mask, not a division, on a
-  // path taken twice per packet hop.
-  static std::size_t round_up_pow2(std::size_t n) {
-    std::size_t c = 1;
-    while (c < n) c <<= 1;
-    return c;
-  }
-
-  std::vector<PacketPtr> ring_;
-  std::size_t mask_;
-  std::size_t head_{0};
-  std::size_t size_{0};
-};
-
-}  // namespace detail
-
-/// Interface for a link's outbound packet queue.
+/// Admission rule of a link's output queue.  The link itself schedules
+/// every accepted packet (see Link); the queue only decides whether a
+/// packet that survived the loss model joins the `backlog` packets already
+/// waiting to start transmission, and counts the outcome.
 class Queue {
  public:
   virtual ~Queue() = default;
 
-  /// Try to accept a packet.  Returns false if the packet was dropped.
-  /// Takes a reference: an accepted packet costs exactly one refcount
-  /// increment (the queue's own copy), a dropped one costs none.
-  virtual bool enqueue(const PacketPtr& p) = 0;
-  /// Remove and return the head packet; nullptr when empty.
-  virtual PacketPtr dequeue() = 0;
-
-  virtual std::size_t size_packets() const = 0;
-  virtual std::int64_t size_bytes() const = 0;
-  bool empty() const { return size_packets() == 0; }
+  /// Admit or drop one arriving packet; `backlog` excludes the packet in
+  /// transmission, if any.
+  bool admit(std::size_t backlog) {
+    const bool ok = accepts(backlog);
+    ++(ok ? accepted_ : drops_);
+    return ok;
+  }
 
   std::int64_t drops() const { return drops_; }
   std::int64_t accepted() const { return accepted_; }
 
- protected:
+ private:
+  virtual bool accepts(std::size_t backlog) = 0;
+
   std::int64_t drops_{0};
   std::int64_t accepted_{0};
 };
 
-/// FIFO drop-tail queue with a packet-count limit — the queue discipline
-/// used for every experiment in the paper ("drop-tail queues were used at
-/// the routers", §4).
+/// Drop-tail with a packet-count limit — the queue discipline used for
+/// every experiment in the paper ("drop-tail queues were used at the
+/// routers", §4).
 class DropTailQueue final : public Queue {
  public:
-  explicit DropTailQueue(std::size_t limit_packets)
-      : limit_{limit_packets}, q_{limit_packets} {}
+  explicit DropTailQueue(std::size_t limit_packets) : limit_{limit_packets} {}
 
-  bool enqueue(const PacketPtr& p) override;
-  PacketPtr dequeue() override;
-
-  std::size_t size_packets() const override { return q_.size(); }
-  std::int64_t size_bytes() const override { return bytes_; }
   std::size_t limit() const { return limit_; }
 
  private:
+  bool accepts(std::size_t backlog) override { return backlog < limit_; }
+
   std::size_t limit_;
-  detail::PacketRing q_;
-  std::int64_t bytes_{0};
 };
 
-/// Random Early Detection queue (Floyd & Jacobson 1993, "gentle" variant).
+/// Random Early Detection (Floyd & Jacobson 1993, "gentle" variant).
 ///
 /// The paper notes that fairness "generally improves when active queuing
 /// (e.g. RED) is used instead" of drop-tail; this implementation backs the
@@ -110,21 +64,15 @@ class RedQueue final : public Queue {
     double weight{0.002}; // EWMA weight for the average queue size
   };
 
-  RedQueue(Config cfg, Rng rng)
-      : cfg_{cfg}, rng_{std::move(rng)}, q_{cfg.limit_packets} {}
+  RedQueue(Config cfg, Rng rng) : cfg_{cfg}, rng_{std::move(rng)} {}
 
-  bool enqueue(const PacketPtr& p) override;
-  PacketPtr dequeue() override;
-
-  std::size_t size_packets() const override { return q_.size(); }
-  std::int64_t size_bytes() const override { return bytes_; }
   double avg_queue() const { return avg_; }
 
  private:
+  bool accepts(std::size_t backlog) override;
+
   Config cfg_;
   Rng rng_;
-  detail::PacketRing q_;
-  std::int64_t bytes_{0};
   double avg_{0.0};
   std::int64_t count_since_drop_{-1};
 };

@@ -15,11 +15,35 @@
 namespace tfmcc {
 
 bool parse_f64(std::string_view text, double& out) {
-  // std::from_chars for double is flaky across stdlibs; strtod is enough here.
-  std::string buf{text};
-  char* end = nullptr;
-  out = std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size() && !buf.empty();
+  // Decimal spellings only: [+-]digits[.digits][(e|E)[+-]digits] with a
+  // digit on at least one side of the point.  strtod alone would also take
+  // hexadecimal ("0x10"), "inf", "nan" and leading whitespace.
+  std::size_t i = 0;
+  const auto sign = [&] {
+    if (i < text.size() && (text[i] == '+' || text[i] == '-')) ++i;
+  };
+  const auto digits = [&] {
+    const std::size_t from = i;
+    while (i < text.size() && text[i] >= '0' && text[i] <= '9') ++i;
+    return i - from;
+  };
+  sign();
+  std::size_t mantissa = digits();
+  if (i < text.size() && text[i] == '.') {
+    ++i;
+    mantissa += digits();
+  }
+  if (mantissa == 0) return false;
+  if (i < text.size() && (text[i] == 'e' || text[i] == 'E')) {
+    ++i;
+    sign();
+    if (digits() == 0) return false;
+  }
+  if (i != text.size()) return false;
+  // std::from_chars for double is flaky across stdlibs; strtod reads the
+  // validated text.
+  out = std::strtod(std::string{text}.c_str(), nullptr);
+  return true;
 }
 
 bool parse_i64(std::string_view text, std::int64_t& out) {

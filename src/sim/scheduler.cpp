@@ -109,6 +109,20 @@ void Scheduler::cancel(const EventId& id) {
   release_slot(id.slot_);
 }
 
+void Scheduler::reschedule(const EventId& id, SimTime t) {
+  if (t < now_) {
+    throw std::logic_error("Scheduler: event rescheduled into the past (" +
+                           t.str() + " < " + now_.str() + ")");
+  }
+  if (id.sched_ != this || !is_pending(id.slot_, id.generation_)) return;
+  if (next_seq_ >= kMaxSeq) {
+    throw std::runtime_error("Scheduler: sequence space exhausted");
+  }
+  heap_remove(heap_pos_[id.slot_]);
+  heap_.push_back(HeapEntry{t, (next_seq_++ << kSlotBits) | id.slot_});
+  sift_up(heap_.size() - 1);
+}
+
 void Scheduler::pop_min() {
   // Bottom-up pop: sink the root hole along the min-child path to a leaf
   // (d-1 comparisons per level, none against the reinserted element), then

@@ -175,6 +175,11 @@ class Scheduler {
   /// and releases its captured state.
   void cancel(const EventId& id);
 
+  /// Move a pending event to time `t` (not in the past), keeping its
+  /// callback and id.  It takes a fresh sequence number, so among events at
+  /// `t` it fires as if scheduled now.  No-op for ids that are not pending.
+  void reschedule(const EventId& id, SimTime t);
+
   /// Execute the next pending event.  Returns false when the queue is empty.
   bool step();
 

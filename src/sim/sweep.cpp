@@ -190,10 +190,9 @@ bool parse_sweep_axis(std::string_view text, const ParamSpec* spec,
   double lo = 0, hi = 0;
   const std::string kind = parts.size() == 3 ? parts[2].substr(0, 3) : "";
   std::int64_t n_points = 0;
-  // summary::parse_number rejects non-finite values, unlike parse_f64: an
-  // inf/nan sweep bound can never expand to a usable range.
-  if (parts.size() != 3 || !summary::parse_number(parts[0], lo) ||
-      !summary::parse_number(parts[1], hi) ||
+  // An overflowing bound ("1e400") can never expand to a usable range.
+  if (parts.size() != 3 || !parse_f64(parts[0], lo) || !std::isfinite(lo) ||
+      !parse_f64(parts[1], hi) || !std::isfinite(hi) ||
       (kind != "lin" && kind != "log") ||
       !parse_i64(std::string_view{parts[2]}.substr(3), n_points)) {
     err << "error: malformed --sweep range '" << text

@@ -1,63 +1,46 @@
 #include <gtest/gtest.h>
 
-#include <deque>
-#include <memory>
+#include <cstdint>
 #include <tuple>
 
 #include "net/queue.hpp"
 #include "util/rng.hpp"
 
+// Admission properties of the queues over a random walk of the backlog a
+// link would report: each admitted packet joins it, and departures drain it
+// one packet at a time.  FIFO order and byte accounting are link properties
+// (test_link_properties).
+
 namespace tfmcc {
 namespace {
 
-/// (queue limit, enqueue probability per step, seed).
+/// (queue limit, arrival probability per step, seed).
 using QParam = std::tuple<int, double, int>;
 
 class QueueSweep : public ::testing::TestWithParam<QParam> {};
-
-PacketPtr mk(std::uint64_t uid, std::int32_t bytes) {
-  auto p = make_heap_packet();
-  p->uid = uid;
-  p->size_bytes = bytes;
-  return p;
-}
 
 TEST_P(QueueSweep, DropTailInvariantsUnderRandomWorkload) {
   const auto [limit, p_enq, seed] = GetParam();
   DropTailQueue q{static_cast<std::size_t>(limit)};
   Rng rng{static_cast<std::uint64_t>(seed)};
-  std::deque<std::uint64_t> model;  // reference FIFO of accepted uids
-  std::int64_t model_bytes = 0;
-  std::uint64_t next_uid = 1;
+  std::size_t backlog = 0;
+  std::int64_t offered = 0;
 
   for (int step = 0; step < 20000; ++step) {
     if (rng.bernoulli(p_enq)) {
-      const auto bytes = static_cast<std::int32_t>(rng.uniform_int(40, 1500));
-      const bool accepted = q.enqueue(mk(next_uid, bytes));
-      ASSERT_EQ(accepted, model.size() < static_cast<std::size_t>(limit));
-      if (accepted) {
-        model.push_back(next_uid);
-        model_bytes += bytes;
-      }
-      ++next_uid;
-    } else {
-      PacketPtr out = q.dequeue();
-      if (model.empty()) {
-        ASSERT_EQ(out, nullptr);
-      } else {
-        ASSERT_NE(out, nullptr);
-        ASSERT_EQ(out->uid, model.front());  // strict FIFO
-        model.pop_front();
-        model_bytes -= out->size_bytes;
-      }
+      const bool accepted = q.admit(backlog);
+      ++offered;
+      ASSERT_EQ(accepted, backlog < static_cast<std::size_t>(limit));
+      if (accepted) ++backlog;
+    } else if (backlog > 0) {
+      --backlog;
     }
-    ASSERT_EQ(q.size_packets(), model.size());
-    ASSERT_EQ(q.size_bytes(), model_bytes);
-    ASSERT_LE(q.size_packets(), static_cast<std::size_t>(limit));
+    ASSERT_LE(backlog, static_cast<std::size_t>(limit));
+    ASSERT_EQ(q.accepted() + q.drops(), offered);
   }
 }
 
-TEST_P(QueueSweep, RedNeverExceedsHardLimitAndStaysFifo) {
+TEST_P(QueueSweep, RedNeverExceedsHardLimit) {
   const auto [limit, p_enq, seed] = GetParam();
   RedQueue::Config cfg;
   cfg.limit_packets = static_cast<std::size_t>(limit);
@@ -65,25 +48,27 @@ TEST_P(QueueSweep, RedNeverExceedsHardLimitAndStaysFifo) {
   cfg.min_th = limit * 0.2;
   RedQueue q{cfg, Rng{static_cast<std::uint64_t>(seed + 100)}};
   Rng rng{static_cast<std::uint64_t>(seed)};
-  std::deque<std::uint64_t> model;
-  std::uint64_t next_uid = 1;
+  std::size_t backlog = 0;
+  std::int64_t offered = 0;
+  double avg = 0.0;
 
   for (int step = 0; step < 20000; ++step) {
     if (rng.bernoulli(p_enq)) {
-      if (q.enqueue(mk(next_uid, 1000))) model.push_back(next_uid);
-      ++next_uid;
-    } else if (PacketPtr out = q.dequeue()) {
-      ASSERT_FALSE(model.empty());
-      ASSERT_EQ(out->uid, model.front());
-      model.pop_front();
+      avg = (1.0 - cfg.weight) * avg +
+            cfg.weight * static_cast<double>(backlog);
+      const bool accepted = q.admit(backlog);
+      ++offered;
+      if (backlog >= static_cast<std::size_t>(limit)) {
+        ASSERT_FALSE(accepted);
+      }
+      if (accepted) ++backlog;
+      ASSERT_DOUBLE_EQ(q.avg_queue(), avg);
+    } else if (backlog > 0) {
+      --backlog;
     }
-    ASSERT_LE(q.size_packets(), static_cast<std::size_t>(limit));
-    ASSERT_EQ(q.size_packets(), model.size());
+    ASSERT_LE(backlog, static_cast<std::size_t>(limit));
+    ASSERT_EQ(q.accepted() + q.drops(), offered);
   }
-  // Accounting: accepted - dequeued == still queued.
-  EXPECT_EQ(q.accepted() - static_cast<std::int64_t>(model.size()),
-            static_cast<std::int64_t>(next_uid - 1) - q.drops() -
-                static_cast<std::int64_t>(model.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, QueueSweep,

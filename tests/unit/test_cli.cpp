@@ -99,9 +99,13 @@ void add_value_cases(std::vector<CliCase>& cases,
 // Single-run flags, which `sweep` and `campaign` accept too.
 void add_single_run_cases(std::vector<CliCase>& cases,
                           const std::vector<std::string>& head) {
-  add_value_cases(cases, head, "--duration", {"abc", "0", "-3", "inf"},
+  // Numbers are decimal: hexadecimal, leading whitespace, inf and nan are
+  // refused even where strtod would read them.
+  add_value_cases(cases, head, "--duration",
+                  {"abc", "0", "-3", "inf", "nan", "0x10", " 16", "0X1p4"},
                   "error: --duration expects a positive number of seconds");
-  add_value_cases(cases, head, "--seed", {"abc", "-1", "3.5"},
+  add_value_cases(cases, head, "--seed",
+                  {"abc", "-1", "3.5", "0x10", " 16", "0X1p4", "inf", "nan"},
                   "error: --seed expects a non-negative integer");
   add_value_cases(cases, head, "--set", {"no_equals", "=value"},
                   "error: --set expects key=value");
@@ -117,6 +121,29 @@ TEST(CliSingleRun, RejectsEveryMalformedFlag) {
                   "error: --output expects a file path");
   cases.push_back({{"stray"}, "error: unknown option 'stray'"});
   expect_rejected(&single_run, cases);
+}
+
+TEST(CliNumbers, DecimalSpellingsOnly) {
+  double d = 0;
+  for (const char* ok : {"0", "2e6", "1000.0", "-0.5", ".5", "5.", "+3",
+                         "1E-3", "1e400"}) {
+    EXPECT_TRUE(parse_f64(ok, d)) << ok;
+  }
+  ASSERT_TRUE(parse_f64("-0.5", d));
+  EXPECT_EQ(d, -0.5);
+  for (const char* bad : {"", "0x10", "0X1p4", " 16", "16 ", "\t1", "inf",
+                          "-inf", "nan", "infinity", ".", "+", "e5", "1e",
+                          "1e+", "1.2.3", "1,5"}) {
+    EXPECT_FALSE(parse_f64(bad, d)) << "'" << bad << "'";
+  }
+  std::int64_t i = 0;
+  ASSERT_TRUE(parse_i64("2e6", i));
+  EXPECT_EQ(i, 2'000'000);
+  ASSERT_TRUE(parse_i64("1000.0", i));
+  EXPECT_EQ(i, 1000);
+  for (const char* bad : {"0x10", " 16", "0X1p4", "inf", "nan", "1e400"}) {
+    EXPECT_FALSE(parse_i64(bad, i)) << "'" << bad << "'";
+  }
 }
 
 TEST(CliSweep, UsageAndUnknownScenario) {
@@ -140,11 +167,15 @@ TEST(CliSweep, RejectsEveryMalformedFlag) {
                  "error: empty value in --sweep list 'x=1,,2'");
   add_bad_values(cases, head, "--sweep", {"x=1:2:lin1", "x=1:9:log2000000"},
                  "needs between 2 and 1e6 points");
-  add_bad_values(cases, head, "--sweep", {"x=1:2:cubic3", "x=a:2:lin3"},
+  add_bad_values(cases, head, "--sweep",
+                 {"x=1:2:cubic3", "x=a:2:lin3", "x=0x1:9:lin3", "x=1: 9:lin3",
+                  "x=1:inf:lin3", "x=nan:9:lin3", "x=1:1e400:lin3"},
                  "error: malformed --sweep range");
   add_bad_values(cases, head, "--sweep", {"x=0:9:log3"},
                  "requires positive bounds");
-  add_value_cases(cases, head, "--jobs", {"abc", "0", "1025", "2x"},
+  add_value_cases(cases, head, "--jobs",
+                  {"abc", "0", "1025", "2x", "0x4", " 4", "0X1p2", "inf",
+                   "nan"},
                   "error: --jobs expects an integer between 1 and 1024");
   add_value_cases(cases, head, "--replicate", {"abc", "0", "100001"},
                   "error: --replicate expects an integer between 1 and ");
@@ -190,6 +221,11 @@ TEST(CliSweep, RejectsInvalidGridsBeforeRunning) {
        {{"test_cli_probe", "--sweep", "x=1,2", "--sweep", "x=3"},
         "error: duplicate --sweep axis for key 'x'"},
        {{"test_cli_probe", "--sweep", "x=1,-2"}, "below the minimum"},
+       // Sweep values and --set values coerce through the same parser.
+       {{"test_cli_probe", "--sweep", "x=1,0x10"},
+        "error: malformed value '0x10' for parameter 'x'"},
+       {{"test_cli_probe", "--sweep", "x=1, 2"},
+        "error: malformed value ' 2' for parameter 'x'"},
        {{"test_cli_probe", "--sweep", "nope=1,2"},
         "error: unknown parameter 'nope'"}});
 }

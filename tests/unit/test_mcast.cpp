@@ -5,6 +5,7 @@
 
 #include "mcast/session.hpp"
 #include "net/builders.hpp"
+#include "net/link.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
 
@@ -45,6 +46,19 @@ struct StarFixture {
   Star star;
 };
 
+/// Packet conservation once the run has drained: every packet a link
+/// accepted has completed transmission and none is left in the link.
+void expect_links_drained(StarFixture& f) {
+  Link* trunk = f.topo.link_between(f.star.sender, f.star.hub);
+  EXPECT_EQ(trunk->in_link_packets(), 0);
+  EXPECT_EQ(trunk->delivered_packets(), trunk->queue().accepted());
+  for (const auto& [down, up] : f.star.leaf_links) {
+    EXPECT_EQ(down->in_link_packets(), 0);
+    EXPECT_EQ(down->delivered_packets(), down->queue().accepted());
+    EXPECT_EQ(up->in_link_packets(), 0);
+  }
+}
+
 TEST(Mcast, DeliversToAllMembers) {
   StarFixture f;
   MulticastSession sess{f.topo, f.star.sender, 7};
@@ -56,6 +70,7 @@ TEST(Mcast, DeliversToAllMembers) {
   sess.send_from_source(make_mcast(f.sim, f.star.sender, sess.group(), 7));
   f.sim.run();
   for (const auto& a : agents) EXPECT_EQ(a.count, 1);
+  expect_links_drained(f);
 }
 
 TEST(Mcast, NonMembersGetNothing) {
@@ -118,6 +133,7 @@ TEST(Mcast, LeavePrunesDelivery) {
   f.sim.run();
   EXPECT_EQ(a0.count, 2);
   EXPECT_EQ(a1.count, 1);
+  expect_links_drained(f);
 }
 
 TEST(Mcast, MembershipQueries) {
@@ -144,6 +160,7 @@ TEST(Mcast, DynamicJoinMidStream) {
   sess.send_from_source(make_mcast(f.sim, f.star.sender, sess.group(), 7));
   f.sim.run();
   EXPECT_EQ(late.count, 1);
+  expect_links_drained(f);
 }
 
 TEST(Mcast, TwoIndependentGroups) {

@@ -2,68 +2,35 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+// Queues are admission rules over the backlog a link reports; FIFO order
+// and byte accounting live in Link (test_link_node, test_link_properties).
 
 namespace tfmcc {
 namespace {
 
-PacketPtr make_packet(std::int32_t bytes, std::uint64_t uid = 0) {
-  auto p = make_heap_packet();
-  p->uid = uid;
-  p->size_bytes = bytes;
-  return p;
-}
-
-TEST(DropTailQueue, FifoOrder) {
-  DropTailQueue q{10};
-  q.enqueue(make_packet(100, 1));
-  q.enqueue(make_packet(100, 2));
-  q.enqueue(make_packet(100, 3));
-  EXPECT_EQ(q.dequeue()->uid, 1u);
-  EXPECT_EQ(q.dequeue()->uid, 2u);
-  EXPECT_EQ(q.dequeue()->uid, 3u);
-  EXPECT_EQ(q.dequeue(), nullptr);
-}
-
 TEST(DropTailQueue, DropsWhenFull) {
   DropTailQueue q{2};
-  EXPECT_TRUE(q.enqueue(make_packet(100)));
-  EXPECT_TRUE(q.enqueue(make_packet(100)));
-  EXPECT_FALSE(q.enqueue(make_packet(100)));
-  EXPECT_EQ(q.drops(), 1);
+  EXPECT_TRUE(q.admit(0));
+  EXPECT_TRUE(q.admit(1));
+  EXPECT_FALSE(q.admit(2));
+  EXPECT_FALSE(q.admit(3));
+  EXPECT_EQ(q.drops(), 2);
   EXPECT_EQ(q.accepted(), 2);
-  EXPECT_EQ(q.size_packets(), 2u);
+  EXPECT_EQ(q.limit(), 2u);
 }
 
-TEST(DropTailQueue, ByteAccounting) {
-  DropTailQueue q{10};
-  q.enqueue(make_packet(100));
-  q.enqueue(make_packet(250));
-  EXPECT_EQ(q.size_bytes(), 350);
-  q.dequeue();
-  EXPECT_EQ(q.size_bytes(), 250);
-  q.dequeue();
-  EXPECT_EQ(q.size_bytes(), 0);
-}
-
-TEST(DropTailQueue, EmptyPredicate) {
+TEST(DropTailQueue, AdmitsAgainOnceTheBacklogDrains) {
   DropTailQueue q{2};
-  EXPECT_TRUE(q.empty());
-  q.enqueue(make_packet(1));
-  EXPECT_FALSE(q.empty());
-  q.dequeue();
-  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.admit(2));
+  EXPECT_TRUE(q.admit(1));
+  EXPECT_EQ(q.accepted() + q.drops(), 2);
 }
 
-TEST(DropTailQueue, DrainAfterDropStillFifo) {
-  DropTailQueue q{2};
-  q.enqueue(make_packet(1, 1));
-  q.enqueue(make_packet(1, 2));
-  q.enqueue(make_packet(1, 3));  // dropped
-  q.dequeue();
-  EXPECT_TRUE(q.enqueue(make_packet(1, 4)));
-  EXPECT_EQ(q.dequeue()->uid, 2u);
-  EXPECT_EQ(q.dequeue()->uid, 4u);
+TEST(DropTailQueue, ZeroLimitDropsEverything) {
+  DropTailQueue q{0};
+  EXPECT_FALSE(q.admit(0));
+  EXPECT_EQ(q.drops(), 1);
+  EXPECT_EQ(q.accepted(), 0);
 }
 
 TEST(RedQueue, AcceptsBelowMinThreshold) {
@@ -72,7 +39,9 @@ TEST(RedQueue, AcceptsBelowMinThreshold) {
   cfg.min_th = 5;
   cfg.max_th = 15;
   RedQueue q{cfg, Rng{1}};
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.enqueue(make_packet(100)));
+  for (std::size_t backlog = 0; backlog < 4; ++backlog) {
+    EXPECT_TRUE(q.admit(backlog));
+  }
   EXPECT_EQ(q.drops(), 0);
 }
 
@@ -80,8 +49,9 @@ TEST(RedQueue, HardLimitAlwaysDrops) {
   RedQueue::Config cfg;
   cfg.limit_packets = 5;
   RedQueue q{cfg, Rng{1}};
-  for (int i = 0; i < 5; ++i) q.enqueue(make_packet(100));
-  EXPECT_FALSE(q.enqueue(make_packet(100)));
+  for (std::size_t backlog = 0; backlog < 5; ++backlog) q.admit(backlog);
+  EXPECT_FALSE(q.admit(5));
+  EXPECT_FALSE(q.admit(6));
 }
 
 TEST(RedQueue, ProbabilisticDropsUnderSustainedLoad) {
@@ -91,22 +61,30 @@ TEST(RedQueue, ProbabilisticDropsUnderSustainedLoad) {
   cfg.max_th = 6;
   cfg.weight = 0.5;  // fast-moving average for the test
   RedQueue q{cfg, Rng{1}};
+  std::size_t backlog = 0;
   int drops = 0;
   for (int i = 0; i < 500; ++i) {
-    if (!q.enqueue(make_packet(100))) ++drops;
-    if (q.size_packets() > 4) q.dequeue();  // keep queue near thresholds
+    if (q.admit(backlog)) {
+      ++backlog;
+    } else {
+      ++drops;
+    }
+    if (backlog > 4) --backlog;  // keep the backlog near the thresholds
   }
-  EXPECT_GT(drops, 0);          // RED drops before the hard limit
-  EXPECT_LT(drops, 500);        // but not everything
+  EXPECT_GT(drops, 0);    // RED drops before the hard limit
+  EXPECT_LT(drops, 500);  // but not everything
+  EXPECT_EQ(q.drops(), drops);
+  EXPECT_EQ(q.accepted() + q.drops(), 500);
 }
 
-TEST(RedQueue, FifoOrderPreserved) {
+TEST(RedQueue, AverageIsAnEwmaOfTheBacklog) {
   RedQueue::Config cfg;
+  cfg.weight = 0.25;
   RedQueue q{cfg, Rng{2}};
-  q.enqueue(make_packet(1, 7));
-  q.enqueue(make_packet(1, 8));
-  EXPECT_EQ(q.dequeue()->uid, 7u);
-  EXPECT_EQ(q.dequeue()->uid, 8u);
+  q.admit(4);
+  EXPECT_DOUBLE_EQ(q.avg_queue(), 1.0);
+  q.admit(0);
+  EXPECT_DOUBLE_EQ(q.avg_queue(), 0.75);
 }
 
 }  // namespace

@@ -109,6 +109,26 @@ TEST(Scheduler, SchedulingInThePastThrows) {
   EXPECT_THROW(s.schedule_at(5_ms, [] {}), std::logic_error);
 }
 
+TEST(Scheduler, RescheduleMovesEventAndTakesFreshSeq) {
+  Scheduler s;
+  std::vector<int> order;
+  EventId moved = s.schedule_at(1_ms, [&] { order.push_back(0); });
+  s.schedule_at(3_ms, [&] { order.push_back(1); });
+  s.schedule_at(2_ms, [&] { order.push_back(2); });
+  s.reschedule(moved, 3_ms);  // now after event 1 at the same time
+  EXPECT_TRUE(moved.pending());
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 0}));
+  EXPECT_EQ(s.now(), 3_ms);
+  s.reschedule(moved, 9_ms);  // fired: a no-op
+  EXPECT_TRUE(s.empty());
+  EventId late = s.schedule_at(4_ms, [] {});
+  EXPECT_THROW(s.reschedule(late, 2_ms), std::logic_error);
+  s.reschedule(late, 3_ms);  // now itself is allowed
+  s.run();
+  EXPECT_EQ(s.now(), 3_ms);
+}
+
 TEST(Scheduler, EventsCanScheduleEvents) {
   Scheduler s;
   int count = 0;
