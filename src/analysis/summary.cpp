@@ -108,9 +108,18 @@ bool read_str(std::istream& is, std::string& out) {
   char sep = 0;
   if (!(is >> len) || !is.get(sep) || sep != ':') return false;
   if (len > (1u << 30)) return false;  // absurd length = corrupt stream
-  out.resize(len);
-  is.read(out.data(), static_cast<std::streamsize>(len));
-  return static_cast<std::size_t>(is.gcount()) == len;
+  // Grow with the bytes actually read, so a corrupt length prefix cannot
+  // demand a large allocation before the stream runs out.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  out.clear();
+  while (out.size() < len) {
+    const std::size_t at = out.size();
+    const std::size_t n = std::min(kChunk, len - at);
+    out.resize(at + n);
+    is.read(out.data() + at, static_cast<std::streamsize>(n));
+    if (static_cast<std::size_t>(is.gcount()) != n) return false;
+  }
+  return true;
 }
 
 bool parse_number(std::string_view text, double& out) {

@@ -47,7 +47,8 @@ bool parse_number(std::string_view text, double& out);
 /// Length-prefixed string IO ("<len>:<bytes>", no quoting or escaping)
 /// shared by the accumulator serializers and the sweep checkpoint/partial
 /// file formats.  read_str returns false on a truncated or absurd-length
-/// stream.
+/// stream; it allocates as the bytes arrive, so a corrupt length prefix
+/// cannot demand memory the stream does not hold.
 void write_str(std::ostream& os, std::string_view s);
 bool read_str(std::istream& is, std::string& out);
 

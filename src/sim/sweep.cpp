@@ -325,6 +325,11 @@ bool plan_sweep(const Scenario& scenario, const SweepOptions& sweep,
                     "' (combine the values into one axis)");
       }
     }
+    // The axis would override the --set value before anyone validated it.
+    if (sweep.base.has_param(axis.key)) {
+      return fail("--set " + axis.key + "=... conflicts with the --sweep "
+                  "axis for key '" + axis.key + "' (drop one of them)");
+    }
     // Cap the product before expanding it: three 1e6-value axes are each
     // legal on their own.
     if (axis.values.size() > kMaxGridPoints / n_points) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "byte_mutator.hpp"
 #include "sim/campaign.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
@@ -227,7 +228,10 @@ TEST(CliSweep, RejectsInvalidGridsBeforeRunning) {
        {{"test_cli_probe", "--sweep", "x=1, 2"},
         "error: malformed value ' 2' for parameter 'x'"},
        {{"test_cli_probe", "--sweep", "nope=1,2"},
-        "error: unknown parameter 'nope'"}});
+        "error: unknown parameter 'nope'"},
+       // The axis would override the --set value without validating it.
+       {{"test_cli_probe", "--sweep", "x=2,4", "--set", "x=0x10"},
+        "error: --set x=... conflicts with the --sweep axis for key 'x'"}});
 }
 
 TEST(CliCampaign, UsageAndUnknownScenario) {
@@ -301,7 +305,9 @@ TEST(CliCampaign, RejectsInvalidGridsBeforeLaunchingShards) {
         "error: duplicate --sweep axis for key 'x'"},
        {{"test_cli_probe", "--sweep", "x=1,-2"}, "below the minimum"},
        {{"test_cli_probe", "--sweep", "nope=1,2"},
-        "error: unknown parameter 'nope'"}});
+        "error: unknown parameter 'nope'"},
+       {{"test_cli_probe", "--sweep", "x=2,4", "--set", "x=0x10"},
+        "error: --set x=... conflicts with the --sweep axis for key 'x'"}});
 }
 
 TEST(CliMerge, RejectsEveryMalformedFlag) {
@@ -317,16 +323,14 @@ TEST(CliMerge, RejectsEveryMalformedFlag) {
 
 // --- flag-table fuzz --------------------------------------------------------
 
-/// Deterministic argv mutator (splitmix64 stream): byte flips, inserts and
-/// deletes, dropped, duplicated and swapped arguments, and arguments
-/// replaced by tokens that sit on the parsers' edges.
+/// Deterministic argv mutator: byte edits of one argument (ByteMutator),
+/// dropped, duplicated and swapped arguments, and arguments replaced by
+/// tokens that sit on the parsers' edges.
 class ArgvMutator {
  public:
-  explicit ArgvMutator(std::uint64_t seed) : state_{seed} {}
+  explicit ArgvMutator(std::uint64_t seed) : bytes_{seed} {}
 
-  std::size_t below(std::size_t n) {
-    return static_cast<std::size_t>(next() % n);
-  }
+  std::size_t below(std::size_t n) { return bytes_.below(n); }
 
   void mutate(std::vector<std::string>& args) {
     static const std::vector<std::string> kTokens = {
@@ -345,19 +349,11 @@ class ArgvMutator {
     }
     const std::size_t a = below(args.size());
     std::string& arg = args[a];
-    switch (below(7)) {
+    switch (const std::size_t kind = below(7)) {
       case 0:
-        if (!arg.empty()) {
-          arg[below(arg.size())] ^= static_cast<char>(1 << below(8));
-        }
-        break;
       case 1:
-        arg.insert(arg.begin() +
-                       static_cast<std::ptrdiff_t>(below(arg.size() + 1)),
-                   static_cast<char>(below(256)));
-        break;
       case 2:
-        if (!arg.empty()) arg.erase(below(arg.size()), 1);
+        bytes_.edit(arg, kind);
         break;
       case 3:
         args.erase(args.begin() + static_cast<std::ptrdiff_t>(a));
@@ -375,14 +371,7 @@ class ArgvMutator {
   }
 
  private:
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-  std::uint64_t state_;
+  test::ByteMutator bytes_;
 };
 
 using TableParser = std::function<bool(int, char**, std::ostream&)>;

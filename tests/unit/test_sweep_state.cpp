@@ -3,12 +3,14 @@
 // round trip with the folded-bitmap prefix invariant, checkpoint/resume
 // edge cases (corrupt and truncated files, grid mismatch, checkpoints
 // covering only the first task and all-but-the-last task), shard ownership
-// and out-of-range indices, and library-level shard+merge byte-identity
-// against the unsharded aggregate.
+// and out-of-range indices, library-level shard+merge byte-identity
+// against the unsharded aggregate, and a byte-mutation fuzz of the three
+// on-disk parsers (state files, manifests, checkpoint progress headers).
 
 #include "sim/sweep_state.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <fstream>
@@ -16,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "byte_mutator.hpp"
 #include "sim/sweep.hpp"
 #include "util/csv.hpp"
 
@@ -399,6 +402,29 @@ TEST(Resume, RefusesACorruptCheckpoint) {
   std::remove(path.c_str());
 }
 
+/// Peak resident set of this process, in KiB (Linux units).
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(Resume, RefusesAHugeLengthPrefixWithoutAllocatingIt) {
+  // 1 GiB is the largest length read_str accepts; the file holds 3 bytes.
+  const std::string path = temp_path("huge_length.bin");
+  write_file(path,
+             "TFMCC-SWEEP-CKPT 2\nprogress 1 1 3\nmanifest 2\n"
+             "scenario 1073741824:zzz");
+  SweepOptions resumed = three_point_sweep();
+  resumed.resume_path = path;
+  const long before = peak_rss_kib();
+  std::string err;
+  sweep_output(resumed, 2, &err);
+  EXPECT_NE(err.find("cannot load"), std::string::npos) << err;
+  EXPECT_LT(peak_rss_kib() - before, 256L * 1024) << "peak RSS grew";
+  std::remove(path.c_str());
+}
+
 TEST(Resume, RefusesAnOlderFormatVersion) {
   const std::string path = temp_path("oldver.bin");
   write_file(path, "TFMCC-SWEEP-CKPT 1\nmanifest 1\nscenario 3:zzz");
@@ -530,6 +556,79 @@ TEST(MergeCli, DuplicateShardIsRefused) {
   std::string err;
   EXPECT_EQ(run_merge({path, path}, &err), 2);
   EXPECT_NE(err.find("more than once"), std::string::npos) << err;
+  std::remove(path.c_str());
+}
+
+// --- on-disk parser fuzz -----------------------------------------------------
+
+/// Feeds `iterations` mutated copies of `text` (one to four byte edits
+/// each) to `load`.  A mutant must load or fail with a reason.
+template <typename Load>
+void fuzz_loader(const std::string& text, std::uint64_t seed, int iterations,
+                 Load load) {
+  test::ByteMutator mutator{seed};
+  int loaded = 0;
+  for (int i = 0; i < iterations; ++i) {
+    std::string mutant = text;
+    const std::size_t rounds = 1 + mutator.below(4);
+    for (std::size_t r = 0; r < rounds; ++r) mutator.mutate(mutant);
+    std::string err;
+    if (load(mutant, err)) {
+      ++loaded;
+    } else {
+      ASSERT_FALSE(err.empty()) << "iteration " << i << ":\n" << mutant;
+    }
+  }
+  // Some edits land where they change nothing the loader checks.
+  EXPECT_GT(loaded, 0);
+}
+
+bool load_state_text(const std::string& text, std::string& err) {
+  std::istringstream is{text};
+  SweepStateFile out;
+  return SweepStateFile::load(is, out, err);
+}
+
+TEST(StateFileFuzz, MutatedCheckpointsLoadOrExplain) {
+  std::ostringstream os;
+  checkpoint_after(2).save(os);
+  fuzz_loader(os.str(), 11, 20000, load_state_text);
+}
+
+TEST(StateFileFuzz, MutatedPartialsLoadOrExplain) {
+  SweepOptions sweep = three_point_sweep();
+  sweep.replicate = 3;
+  sweep.stats = {summary::Stat::kMean, summary::Stat::kMax};
+  sweep.shard_count = 2;
+  fuzz_loader(sweep_output(sweep), 12, 20000, load_state_text);
+}
+
+TEST(StateFileFuzz, MutatedManifestsLoadOrExplain) {
+  SweepOptions sweep = three_point_sweep();
+  sweep.replicate = 4;
+  sweep.stats = {summary::Stat::kMean, summary::Stat::kCov};
+  sweep.base.seed = 77;
+  sweep.base.set_param("y", "9");
+  std::ostringstream os;
+  SweepManifest::from(probe(), sweep).save(os);
+  fuzz_loader(os.str(), 13, 20000,
+              [](const std::string& text, std::string& err) {
+                std::istringstream is{text};
+                SweepManifest out;
+                return SweepManifest::load(is, out, err);
+              });
+}
+
+TEST(StateFileFuzz, MutatedProgressHeadersLoadOrExplain) {
+  std::ostringstream os;
+  checkpoint_after(2).save(os);
+  const std::string path = temp_path("fuzz_progress.bin");
+  fuzz_loader(os.str(), 14, 500,
+              [&path](const std::string& text, std::string& err) {
+                write_file(path, text);
+                CheckpointProgress out;
+                return read_checkpoint_progress(path, out, err);
+              });
   std::remove(path.c_str());
 }
 
